@@ -659,16 +659,6 @@ int CmdRun(const Args& args, std::ostream& out) {
     out << "error: query and data graph directedness differ\n";
     return 1;
   }
-  const Timestamp window = ResolveWindow(flags, *q, header);
-  if (window <= 0) {
-    out << "error: no window (pass --window=w, or use a query/.tel file "
-           "that records one)\n";
-    return 1;
-  }
-  if (window > kMaxTelTimestamp) {  // ts + window must not overflow
-    out << "error: window too large (must stay below 2^61)\n";
-    return 1;
-  }
   const std::string kind = flags.GetString("engine", "tcm");
   const size_t shards = ResolveShards(flags, kind, out);
   if (shards == 0) return 1;
@@ -720,12 +710,18 @@ int CmdRun(const Args& args, std::ostream& out) {
   ObsCliOptions obs;
   if (!ResolveObsFlags(flags, out, &obs)) return 1;
   StreamConfig config;
-  config.window = window;
+  // --window, else the query's w record, else the .tel header; the driver
+  // refuses a missing or oversize window.
+  config.window = ResolveWindow(flags, *q, header);
   config.time_limit_ms = flags.GetDouble("limit_ms", 0);
   config.obs = obs.obs.get();
   config.stats_every = obs.stats_every;
   config.stats_out = &out;
   const StreamResult res = RunStream(*ds, config, context.get());
+  if (!res.error.ok()) {
+    out << "error: " << res.error.ToString() << "\n";
+    return 1;
+  }
   PrintStreamResult(engine->name(), res, out);
   if (FinishObs(obs, /*json=*/false, out) != 0) return 1;
   return res.completed ? 0 : 3;

@@ -4,18 +4,6 @@
 
 namespace tcsm {
 
-bool MultiQueryEngine::TaggedSink::wants_each_embedding() const {
-  return parent_->multi_sink_ != nullptr;
-}
-
-void MultiQueryEngine::TaggedSink::OnMatch(const Embedding& embedding,
-                                           MatchKind kind,
-                                           uint64_t multiplicity) {
-  if (parent_->multi_sink_ != nullptr) {
-    parent_->multi_sink_->OnMatch(index_, embedding, kind, multiplicity);
-  }
-}
-
 MultiQueryEngine::MultiQueryEngine(const std::vector<QueryGraph>& queries,
                                    const GraphSchema& schema,
                                    TcmConfig config, size_t num_threads)
@@ -25,7 +13,7 @@ MultiQueryEngine::MultiQueryEngine(const std::vector<QueryGraph>& queries,
   tagged_.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     owned_.push_back(std::make_unique<TcmEngine>(queries[i], graph(), config));
-    tagged_.push_back(std::make_unique<TaggedSink>(this, i));
+    tagged_.push_back(std::make_unique<TaggedSink>(&multi_sink_, i));
     owned_.back()->set_sink(tagged_.back().get());
     Attach(owned_.back().get());
   }

@@ -28,6 +28,26 @@ class MultiMatchSink {
                        MatchKind kind, uint64_t multiplicity) = 0;
 };
 
+/// Adapts one engine's reports into tagged calls on a multi-query
+/// bundle's MultiMatchSink, read through `slot` so a set_multi_sink
+/// between events retargets every query at once.
+class TaggedSink : public MatchSink {
+ public:
+  TaggedSink(MultiMatchSink* const* slot, size_t index)
+      : slot_(slot), index_(index) {}
+  bool wants_each_embedding() const override { return *slot_ != nullptr; }
+  void OnMatch(const Embedding& embedding, MatchKind kind,
+               uint64_t multiplicity) override {
+    if (*slot_ != nullptr) {
+      (*slot_)->OnMatch(index_, embedding, kind, multiplicity);
+    }
+  }
+
+ private:
+  MultiMatchSink* const* slot_;
+  size_t index_;
+};
+
 class MultiQueryEngine : public ParallelStreamContext {
  public:
   /// One TCM engine per query, all views of the one shared graph; all
@@ -51,20 +71,6 @@ class MultiQueryEngine : public ParallelStreamContext {
   }
 
  private:
-  /// Adapts per-engine reports into tagged multi-sink calls.
-  class TaggedSink : public MatchSink {
-   public:
-    TaggedSink(MultiQueryEngine* parent, size_t index)
-        : parent_(parent), index_(index) {}
-    bool wants_each_embedding() const override;
-    void OnMatch(const Embedding& embedding, MatchKind kind,
-                 uint64_t multiplicity) override;
-
-   private:
-    MultiQueryEngine* parent_;
-    size_t index_;
-  };
-
   std::vector<std::unique_ptr<TcmEngine>> owned_;
   std::vector<std::unique_ptr<TaggedSink>> tagged_;
   MultiMatchSink* multi_sink_ = nullptr;

@@ -1,10 +1,16 @@
-// Replays a temporal dataset as a stream of arrival/expiration events
-// against a SharedStreamContext (Algorithm 1's event list L): edge e with
-// timestamp t yields (e, t, +) and (e, t + delta, -). Events are processed
-// in chronological order with expirations before arrivals on ties, so an
-// embedding can never use an edge that expires exactly when a new edge
-// arrives (Example II.2). The context applies each event to the shared
-// graph once and fans it out to every attached engine.
+// The stream driver: one loop that turns a chronological source of
+// arrivals into Algorithm 1's event list L and delivers it to a
+// SharedStreamContext. Edge e with timestamp t yields (e, t, +) and
+// (e, t + delta, -). Events are processed in chronological order with
+// expirations before arrivals on ties, so an embedding can never use an
+// edge that expires exactly when a new edge arrives (Example II.2). The
+// context applies each event to the shared graph once and fans it out to
+// every attached engine.
+//
+// The source is an in-memory TemporalDataset (RunStream, below) or a
+// `.tel` StreamReader (ReplayStream, io/replay.h); both entry points run
+// the same DriveStream loop (core/stream_driver-inl.h), so their match
+// streams are byte-identical by construction (DESIGN.md §8).
 #ifndef TCSM_CORE_STREAM_DRIVER_H_
 #define TCSM_CORE_STREAM_DRIVER_H_
 
@@ -17,6 +23,7 @@
 
 namespace tcsm {
 
+class FlightRecorder;  // io/flight_recorder.h
 class Observability;
 
 /// Micro-batch cap used when a driver's max_batch knob is 0. Large enough
@@ -25,23 +32,25 @@ class Observability;
 inline constexpr size_t kDefaultMaxBatch = 64;
 
 struct StreamConfig {
-  /// Time window delta; edges with ts <= now - delta are expired.
+  /// Time window delta; edges with ts <= now - delta are expired. 0 =
+  /// take the source's window (a `.tel` header's window=D); a source
+  /// with neither is an InvalidArgument. Ignored by explicit-expiry
+  /// streams, which carry their own schedule.
   Timestamp window = 0;
   /// Per-run wall-clock limit; 0 = unlimited. A run that exceeds it is
   /// reported as not completed ("unsolved" in the paper's terms).
   double time_limit_ms = 0;
-  /// Context memory is sampled every this many events; 0 = adaptive
-  /// (at least ~32 samples across the run, so sampling never dominates).
-  size_t memory_sample_every = 0;
   /// Stop the replay after this many arrivals (0 = all). Expirations of
-  /// already-arrived edges are still delivered.
+  /// already-arrived edges are still delivered, so the run ends on an
+  /// empty window. This is the CLI's --max-events rate control.
   size_t max_arrivals = 0;
   /// Largest micro-batch handed to the context in one
   /// OnEdgeArrivalBatch/OnEdgeExpiryBatch call (consecutive events of one
   /// kind sharing a timestamp; DESIGN.md §9). 0 = default (64); 1 =
-  /// unbatched, exactly the historical one-call-per-event behavior. The
-  /// match stream is identical for every setting; the cap only bounds how
-  /// long the driver goes between deadline/overflow checks.
+  /// unbatched, exactly the historical one-call-per-event behavior.
+  /// Explicit-expiry records are never coalesced. The match stream is
+  /// identical for every setting; the cap only bounds how long the driver
+  /// goes between deadline/overflow checks.
   size_t max_batch = 0;
   /// Observability bundle (obs/observability.h); null = metrics off, the
   /// driver and context then skip every metrics/trace site (DESIGN.md
@@ -55,14 +64,20 @@ struct StreamConfig {
   size_t stats_every = 0;
   bool stats_json = false;
   std::ostream* stats_out = nullptr;
+  /// Optional flight recorder (io/flight_recorder.h): every delivered
+  /// arrival is recorded before it reaches the context, so a dump taken
+  /// after a mid-replay failure still holds the event that triggered it.
+  FlightRecorder* recorder = nullptr;
 };
 
 struct StreamResult {
   bool completed = true;
-  /// Why the run refused to start (completed == false, zero events):
-  /// currently only timestamp/window magnitudes that could overflow the
-  /// expiry arithmetic (ts + window); see kMaxStreamTimestamp. Runs that
-  /// merely hit the time limit or overflow an engine keep an OK status.
+  /// Why the run failed (completed == false): a missing window, or a
+  /// window or timestamp that could overflow the expiry arithmetic
+  /// (ts + window; see kMaxStreamTimestamp), refuses the run before its
+  /// first event; a reader's parse error stops it mid-stream
+  /// (ReplayStream returns that as its Status). Runs that merely hit the
+  /// time limit or overflow an engine keep an OK status.
   Status error = Status::Ok();
   double elapsed_ms = 0;
   /// Summed over all engines attached to the context.
@@ -88,6 +103,8 @@ struct StreamResult {
   size_t num_shards = 1;
 };
 
+/// Drives an in-memory dataset (no window of its own: config.window must
+/// be > 0).
 StreamResult RunStream(const TemporalDataset& dataset,
                        const StreamConfig& config,
                        SharedStreamContext* context);

@@ -8,46 +8,14 @@ ParallelStreamContext::ParallelStreamContext(const GraphSchema& schema,
                                              size_t num_threads)
     : SharedStreamContext(schema), pool_(num_threads) {}
 
-void ParallelStreamContext::SyncSinks() {
-  const std::vector<ContinuousEngine*>& attached = engines();
-  while (buffers_.size() < attached.size()) {
-    buffers_.push_back(std::make_unique<BufferedMatchSink>());
-  }
-  for (size_t i = 0; i < attached.size(); ++i) {
-    MatchSink* current = attached[i]->sink();
-    if (current == buffers_[i].get()) continue;
-    // The caller (re)installed a sink since the last event: buffer in
-    // front of it. A null sink stays null — the engine then only counts,
-    // exactly as in serial execution.
-    buffers_[i]->set_downstream(current);
-    if (current != nullptr) attached[i]->set_sink(buffers_[i].get());
-  }
-}
-
 void ParallelStreamContext::RunPhase(
     void (ContinuousEngine::*hook)(const TemporalEdge&),
     const TemporalEdge& ed) {
   const std::vector<ContinuousEngine*>& attached = engines();
-  try {
+  sinks_.RunOrDiscard([&] {
     pool_.ParallelFor(attached.size(),
                       [&](size_t i) { (attached[i]->*hook)(ed); });
-  } catch (...) {
-    // A failed phase poisons the event: engines that did complete must
-    // not have their buffered matches replayed under a later event's
-    // drain, so discard them before propagating. (Engine index state may
-    // be inconsistent after an exception either way; the context is not
-    // fit to continue the same stream.)
-    for (const std::unique_ptr<BufferedMatchSink>& buffer : buffers_) {
-      buffer->Discard();
-    }
-    throw;
-  }
-}
-
-void ParallelStreamContext::DrainSinks() {
-  for (const std::unique_ptr<BufferedMatchSink>& buffer : buffers_) {
-    buffer->Drain();
-  }
+  });
 }
 
 void ParallelStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
@@ -57,7 +25,7 @@ void ParallelStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
     SharedStreamContext::OnEdgeArrivalBatch(edges, count);
     return;
   }
-  SyncSinks();
+  sinks_.Sync(attached);
   batch_scratch_.clear();
   batch_scratch_.reserve(count);
   batch_scratch_.push_back(ApplyArrival(edges[0]));
@@ -68,7 +36,7 @@ void ParallelStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
   // closes each fan-out span there; the drain gets its own span.
   StepObserver steps(stages != nullptr ? stages->pipeline_step_ns : nullptr,
                      trace, "pipeline");
-  try {
+  sinks_.RunOrDiscard([&] {
     // Step k fans edge k out to the engines; the inter-step settle drains
     // the buffers (attach order) and applies the NEXT arrival, so its
     // insertion is published to the step-(k+1) bodies by the step fence.
@@ -83,17 +51,12 @@ void ParallelStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
             const ScopedStage drain(
                 stages != nullptr ? stages->sink_drain_ns : nullptr, trace,
                 "drain", "pipeline");
-            DrainSinks();
+            sinks_.DrainAll();
           }
           if (k + 1 < count) batch_scratch_.push_back(ApplyArrival(edges[k + 1]));
           steps.Restart();
         });
-  } catch (...) {
-    for (const std::unique_ptr<BufferedMatchSink>& buffer : buffers_) {
-      buffer->Discard();
-    }
-    throw;
-  }
+  });
 }
 
 void ParallelStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
@@ -103,7 +66,7 @@ void ParallelStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
     SharedStreamContext::OnEdgeExpiryBatch(edges, count);
     return;
   }
-  SyncSinks();
+  sinks_.Sync(attached);
   batch_scratch_.clear();
   batch_scratch_.reserve(count);
   batch_scratch_.push_back(CaptureExpiry(edges[0]));
@@ -111,7 +74,7 @@ void ParallelStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
   TraceWriter* const trace = trace_writer();
   StepObserver steps(stages != nullptr ? stages->pipeline_step_ns : nullptr,
                      trace, "pipeline");
-  try {
+  sinks_.RunOrDiscard([&] {
     // Two pipeline steps per edge: even steps run the expiring phase
     // against the pre-deletion graph, whose settle drains and THEN
     // removes the edge; odd steps run the removed phase, whose settle
@@ -132,7 +95,7 @@ void ParallelStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
             const ScopedStage drain(
                 stages != nullptr ? stages->sink_drain_ns : nullptr, trace,
                 "drain", "pipeline");
-            DrainSinks();
+            sinks_.DrainAll();
           }
           if (k % 2 == 0) {
             ApplyRemoval(batch_scratch_[k / 2].id);
@@ -141,12 +104,7 @@ void ParallelStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
           }
           steps.Restart();
         });
-  } catch (...) {
-    for (const std::unique_ptr<BufferedMatchSink>& buffer : buffers_) {
-      buffer->Discard();
-    }
-    throw;
-  }
+  });
 }
 
 void ParallelStreamContext::NotifyInserted(const TemporalEdge& ed) {
@@ -155,14 +113,14 @@ void ParallelStreamContext::NotifyInserted(const TemporalEdge& ed) {
     return;
   }
   const StageMetrics* const stages = stage_metrics();
-  SyncSinks();
+  sinks_.Sync(engines());
   {
     const ScopedStage span(
         stages != nullptr ? stages->pipeline_step_ns : nullptr,
         trace_writer(), "insert_fanout", "pipeline");
     RunPhase(&ContinuousEngine::OnEdgeInserted, ed);
   }
-  DrainSinks();
+  sinks_.DrainAll();
 }
 
 void ParallelStreamContext::NotifyExpiring(const TemporalEdge& ed) {
@@ -171,7 +129,7 @@ void ParallelStreamContext::NotifyExpiring(const TemporalEdge& ed) {
     return;
   }
   const StageMetrics* const stages = stage_metrics();
-  SyncSinks();
+  sinks_.Sync(engines());
   {
     const ScopedStage span(
         stages != nullptr ? stages->pipeline_step_ns : nullptr,
@@ -180,7 +138,7 @@ void ParallelStreamContext::NotifyExpiring(const TemporalEdge& ed) {
   }
   // Draining here (before the context removes the edge) keeps even the
   // inter-phase sink timing identical to serial execution.
-  DrainSinks();
+  sinks_.DrainAll();
 }
 
 void ParallelStreamContext::NotifyRemoved(const TemporalEdge& ed) {
@@ -195,7 +153,7 @@ void ParallelStreamContext::NotifyRemoved(const TemporalEdge& ed) {
         trace_writer(), "removed_fanout", "pipeline");
     RunPhase(&ContinuousEngine::OnEdgeRemoved, ed);
   }
-  DrainSinks();
+  sinks_.DrainAll();
 }
 
 }  // namespace tcsm

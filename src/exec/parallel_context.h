@@ -23,7 +23,6 @@
 #ifndef TCSM_EXEC_PARALLEL_CONTEXT_H_
 #define TCSM_EXEC_PARALLEL_CONTEXT_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/shared_context.h"
@@ -58,19 +57,14 @@ class ParallelStreamContext : public SharedStreamContext {
   void NotifyRemoved(const TemporalEdge& ed) override;
 
  private:
-  /// Interposes a BufferedMatchSink in front of every engine's current
-  /// sink. Runs on the driver thread before each event's fan-out, so
-  /// engines attached or re-sinked between events are picked up.
-  void SyncSinks();
   /// Runs `hook` on every attached engine across the pool and blocks
   /// until all of them finished (the phase barrier).
   void RunPhase(void (ContinuousEngine::*hook)(const TemporalEdge&),
                 const TemporalEdge& ed);
-  /// Drains the per-engine buffers in attach order (serial match order).
-  void DrainSinks();
 
   ThreadPool pool_;
-  std::vector<std::unique_ptr<BufferedMatchSink>> buffers_;
+  /// Synced before each parallel fan-out, drained in attach order.
+  SinkBuffers sinks_;
   /// Canonical edge records of the in-flight batch. Reserved up front so
   /// the driver's settle-phase push_back never reallocates under the
   /// workers' concurrent reads of earlier elements.

@@ -12,6 +12,7 @@
 #define TCSM_EXEC_RESULT_SINK_H_
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "core/engine.h"
@@ -60,6 +61,47 @@ class BufferedMatchSink : public MatchSink {
 
   MatchSink* downstream_;
   std::vector<Record> buffer_;
+};
+
+/// The buffered-sink protocol of the parallel and sharded contexts: buffer
+/// i sits in front of the sink the caller installed on engine i
+/// (SharedStreamContext::engines() order).
+class SinkBuffers {
+ public:
+  /// Interposes a buffer in front of every engine's current sink. Runs on
+  /// the driver thread before a parallel fan-out, so engines attached or
+  /// re-sinked between events are picked up. A null sink stays null —
+  /// the engine then only counts, exactly as in serial execution.
+  void Sync(const std::vector<ContinuousEngine*>& engines);
+
+  /// Forwards engine i's buffered records downstream (a no-op for an
+  /// engine no Sync has reached yet).
+  void Drain(size_t i) {
+    if (i < buffers_.size()) buffers_[i].Drain();
+  }
+  /// Drains every buffer in attach order: the serial match order.
+  void DrainAll() {
+    for (BufferedMatchSink& buffer : buffers_) buffer.Drain();
+  }
+
+  /// Runs `phase`, discarding every buffer if it throws: a failed phase
+  /// poisons the event, and engines that did complete must not have their
+  /// matches replayed under a later event's drain. (Engine index state may
+  /// be inconsistent after an exception either way; the context is not
+  /// fit to continue the same stream.)
+  template <typename Phase>
+  void RunOrDiscard(Phase&& phase) {
+    try {
+      phase();
+    } catch (...) {
+      for (BufferedMatchSink& buffer : buffers_) buffer.Discard();
+      throw;
+    }
+  }
+
+ private:
+  /// A deque keeps every buffer's address stable as engines attach.
+  std::deque<BufferedMatchSink> buffers_;
 };
 
 }  // namespace tcsm

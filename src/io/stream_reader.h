@@ -1,13 +1,13 @@
 // Incremental `.tel` stream parser. A StreamReader pulls one record at a
 // time off an istream in O(1) memory — it never buffers the stream — so a
 // multi-GB capture can feed a SharedStreamContext without ever being
-// resident (the replay driver in io/replay.h adds the O(window) live-edge
-// queue needed to deliver expirations). Init() sniffs the framing by the
-// stream's first byte and dispatches: text v1 is parsed line by line here,
-// binary v2 (io/tel_binary.h) through a block-buffered decoder — callers
-// never see the difference. Every parse error is a Status carrying
-// "<source>:<line>: <what>" (text) or "<source>:<byte-offset>: <what>"
-// (binary); malformed input never aborts.
+// resident (the stream driver in core/stream_driver.h adds the O(window)
+// live-edge queue needed to deliver expirations). Init() sniffs the
+// framing by the stream's first byte and dispatches: text v1 is parsed
+// line by line here, binary v2 (io/tel_binary.h) through a block-buffered
+// decoder — callers never see the difference. Every parse error is a
+// Status carrying "<source>:<line>: <what>" (text) or
+// "<source>:<byte-offset>: <what>" (binary); malformed input never aborts.
 #ifndef TCSM_IO_STREAM_READER_H_
 #define TCSM_IO_STREAM_READER_H_
 

@@ -94,46 +94,33 @@ void ShardedStreamContext::NotifyShard(
   for (const size_t i : shard_members_[s]) (attached[i]->*hook)(ed);
 }
 
-void ShardedStreamContext::SyncSinks() {
-  const std::vector<ContinuousEngine*>& attached = engines();
-  while (buffers_.size() < attached.size()) {
-    buffers_.push_back(std::make_unique<BufferedMatchSink>());
-  }
-  for (size_t i = 0; i < attached.size(); ++i) {
-    MatchSink* current = attached[i]->sink();
-    if (current == buffers_[i].get()) continue;
-    buffers_[i]->set_downstream(current);
-    if (current != nullptr) attached[i]->set_sink(buffers_[i].get());
-  }
-}
-
 void ShardedStreamContext::DrainSinks() {
   for (const std::vector<size_t>& members : shard_members_) {
-    for (const size_t i : members) buffers_[i]->Drain();
-  }
-}
-
-void ShardedStreamContext::DiscardSinks() {
-  for (const std::unique_ptr<BufferedMatchSink>& buffer : buffers_) {
-    buffer->Discard();
+    for (const size_t i : members) sinks_.Drain(i);
   }
 }
 
 void ShardedStreamContext::OnEdgeArrival(const TemporalEdge& ed) {
   // Inline path (unbatched events and the serial bypass): same order of
-  // operations as one pipeline round, on the driver thread, with engines
-  // reporting straight to their sinks. The engine-facing fan-out loops
-  // still emit the pipeline-step spans so a trace of a stream without
-  // coalescable batches shows the same phase structure.
+  // operations as one pipeline round, on the driver thread. Engines
+  // report into the buffers an earlier batch interposed (if any), so
+  // each notify phase drains them exactly as the pipeline's settle does.
+  // The engine-facing fan-out loops still emit the pipeline-step spans so
+  // a trace of a stream without coalescable batches shows the same phase
+  // structure.
   const StageMetrics* const stages = stage_metrics();
   TraceWriter* const trace = trace_writer();
   for (size_t s = 0; s < graphs_.size(); ++s) ApplyShardArrival(s, ed);
   const TemporalEdge& canonical = CanonicalArrival(ed);
-  const ScopedStage span(stages != nullptr ? stages->pipeline_step_ns : nullptr,
-                         trace, "insert_fanout", "pipeline");
-  for (size_t s = 0; s < graphs_.size(); ++s) {
-    NotifyShard(s, &ContinuousEngine::OnEdgeInserted, canonical);
+  {
+    const ScopedStage span(
+        stages != nullptr ? stages->pipeline_step_ns : nullptr, trace,
+        "insert_fanout", "pipeline");
+    for (size_t s = 0; s < graphs_.size(); ++s) {
+      NotifyShard(s, &ContinuousEngine::OnEdgeInserted, canonical);
+    }
   }
+  DrainSinks();
 }
 
 void ShardedStreamContext::OnEdgeExpiry(const TemporalEdge& ed) {
@@ -148,6 +135,7 @@ void ShardedStreamContext::OnEdgeExpiry(const TemporalEdge& ed) {
       NotifyShard(s, &ContinuousEngine::OnEdgeExpiring, applied);
     }
   }
+  DrainSinks();
   for (size_t s = 0; s < graphs_.size(); ++s) ApplyShardRemoval(s, applied);
   {
     const ScopedStage span(step_hist, trace, "removed_fanout", "pipeline");
@@ -155,6 +143,7 @@ void ShardedStreamContext::OnEdgeExpiry(const TemporalEdge& ed) {
       NotifyShard(s, &ContinuousEngine::OnEdgeRemoved, applied);
     }
   }
+  DrainSinks();
 }
 
 void ShardedStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
@@ -163,7 +152,7 @@ void ShardedStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
     for (size_t i = 0; i < count; ++i) OnEdgeArrival(edges[i]);
     return;
   }
-  SyncSinks();
+  sinks_.Sync(engines());
   batch_scratch_.clear();
   batch_scratch_.reserve(count);
   const size_t shards = graphs_.size();
@@ -173,7 +162,7 @@ void ShardedStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
       stages != nullptr ? stages->shard_lane_ns : nullptr;
   StepObserver steps(stages != nullptr ? stages->pipeline_step_ns : nullptr,
                      trace, "pipeline");
-  try {
+  sinks_.RunOrDiscard([&] {
     // Two steps per arrival. Even steps mutate: lane s inserts edge k
     // into shard s (if involved) and republishes the rows of its owned
     // endpoints; the settle captures the canonical record. Odd steps
@@ -208,12 +197,7 @@ void ShardedStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
           }
           steps.Restart();
         });
-  } catch (...) {
-    // A failed step poisons the event: completed engines must not have
-    // their buffered matches replayed under a later event's drain.
-    DiscardSinks();
-    throw;
-  }
+  });
 }
 
 void ShardedStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
@@ -222,7 +206,7 @@ void ShardedStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
     for (size_t i = 0; i < count; ++i) OnEdgeExpiry(edges[i]);
     return;
   }
-  SyncSinks();
+  sinks_.Sync(engines());
   batch_scratch_.clear();
   batch_scratch_.reserve(count);
   batch_scratch_.push_back(CaptureShardExpiry(edges[0]));
@@ -233,7 +217,7 @@ void ShardedStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
       stages != nullptr ? stages->shard_lane_ns : nullptr;
   StepObserver steps(stages != nullptr ? stages->pipeline_step_ns : nullptr,
                      trace, "pipeline");
-  try {
+  sinks_.RunOrDiscard([&] {
     // Three steps per expiry: expiring notifications against the
     // pre-removal shards (settle drains — the pre-removal drain keeps
     // the sink timing identical to serial), then the shard-local
@@ -294,10 +278,7 @@ void ShardedStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
           }
           steps.Restart();
         });
-  } catch (...) {
-    DiscardSinks();
-    throw;
-  }
+  });
 }
 
 size_t ShardedStreamContext::EstimateMemoryBytes() const {

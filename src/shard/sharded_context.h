@@ -107,14 +107,9 @@ class ShardedStreamContext : public SharedStreamContext {
   void NotifyShard(size_t s,
                    void (ContinuousEngine::*hook)(const TemporalEdge&),
                    const TemporalEdge& ed);
-  /// Interposes a BufferedMatchSink in front of every engine's sink
-  /// (driver thread, once per batch) — same protocol as
-  /// ParallelStreamContext::SyncSinks.
-  void SyncSinks();
   /// Drains the buffers in shard-then-attach order (the deterministic
   /// merge of the per-shard match streams).
   void DrainSinks();
-  void DiscardSinks();
 
   std::unique_ptr<VertexPartitioner> partitioner_;
   std::vector<std::unique_ptr<TemporalGraph>> graphs_;
@@ -124,8 +119,8 @@ class ShardedStreamContext : public SharedStreamContext {
   /// Per shard, the indexes (into engines()) of the engines placed on
   /// it, in attach order.
   std::vector<std::vector<size_t>> shard_members_;
-  /// Aligned with engines(); interposed in front of each engine's sink.
-  std::vector<std::unique_ptr<BufferedMatchSink>> buffers_;
+  /// Interposed in front of every engine's sink once per batch.
+  SinkBuffers sinks_;
   /// Canonical records of the in-flight batch; reserved up front so the
   /// driver's settle-phase push_back never reallocates under the lanes'
   /// concurrent reads of earlier elements.

@@ -14,7 +14,7 @@ ShardedMultiQueryEngine::ShardedMultiQueryEngine(
   for (size_t i = 0; i < queries.size(); ++i) {
     owned_.push_back(
         std::make_unique<ShardedTcmEngine>(queries[i], view(), config));
-    tagged_.push_back(std::make_unique<TaggedSink>(this, i));
+    tagged_.push_back(std::make_unique<TaggedSink>(&multi_sink_, i));
     owned_.back()->set_sink(tagged_.back().get());
     // Contiguous placement: nondecreasing in i, so the shard-major drain
     // order equals the attach order and the global stream matches serial.

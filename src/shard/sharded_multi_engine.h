@@ -44,26 +44,6 @@ class ShardedMultiQueryEngine : public ShardedStreamContext {
   }
 
  private:
-  /// Adapts per-engine reports into tagged multi-sink calls.
-  class TaggedSink : public MatchSink {
-   public:
-    TaggedSink(ShardedMultiQueryEngine* parent, size_t index)
-        : parent_(parent), index_(index) {}
-    bool wants_each_embedding() const override {
-      return parent_->multi_sink_ != nullptr;
-    }
-    void OnMatch(const Embedding& embedding, MatchKind kind,
-                 uint64_t multiplicity) override {
-      if (parent_->multi_sink_ != nullptr) {
-        parent_->multi_sink_->OnMatch(index_, embedding, kind, multiplicity);
-      }
-    }
-
-   private:
-    ShardedMultiQueryEngine* parent_;
-    size_t index_;
-  };
-
   std::vector<std::unique_ptr<ShardedTcmEngine>> owned_;
   std::vector<std::unique_ptr<TaggedSink>> tagged_;
   MultiMatchSink* multi_sink_ = nullptr;

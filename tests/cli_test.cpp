@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -450,6 +451,44 @@ TEST(Cli, UsageAndErrors) {
   std::ostringstream out3;
   EXPECT_NE(CmdStats({"/no/such/file"}, out3), 0);
   EXPECT_NE(out3.str().find("error"), std::string::npos);
+}
+
+TEST(Cli, RunReportsTheDriversWindowErrors) {
+  // `run` resolves --window, else the query's w record, else the .tel
+  // header, and leaves the checks to the stream driver, whose Status it
+  // prints as "error: ..." with exit 1 — the same contract as `replay`.
+  const std::string tel = TmpPath("cli_nowin.tel");
+  {
+    std::ofstream f(tel);
+    f << "tel 1 undirected vertices=3\ne 0 1 1\ne 1 2 2\n";
+  }
+  const std::string query = TmpPath("cli_nowin.tq");
+  {
+    std::ofstream f(query);
+    f << "t 2 1\nv 0 0\nv 1 0\ne 0 0 1\n";
+  }
+  std::ostringstream none;
+  EXPECT_EQ(CmdRun({tel, query}, none), 1);
+  EXPECT_NE(none.str().find("error: InvalidArgument"), std::string::npos)
+      << none.str();
+  EXPECT_NE(none.str().find("no expiry window"), std::string::npos)
+      << none.str();
+  EXPECT_EQ(none.str().find("events="), std::string::npos) << none.str();
+
+  std::ostringstream huge;
+  EXPECT_EQ(CmdRun({tel, query, "--window=" + std::to_string(int64_t{1} << 62)},
+                   huge),
+            1);
+  EXPECT_NE(huge.str().find("error: InvalidArgument"), std::string::npos)
+      << huge.str();
+  EXPECT_NE(huge.str().find("window too large"), std::string::npos)
+      << huge.str();
+
+  std::ostringstream ok;
+  EXPECT_EQ(CmdRun({tel, query, "--window=5"}, ok), 0) << ok.str();
+  EXPECT_NE(ok.str().find("events=4"), std::string::npos) << ok.str();
+  std::remove(tel.c_str());
+  std::remove(query.c_str());
 }
 
 TEST(Cli, MainDispatch) {

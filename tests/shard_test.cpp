@@ -13,9 +13,12 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/stream_driver.h"
+#include "core/tcm_engine.h"
 #include "graph/temporal_graph.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_context.h"
+#include "shard/sharded_engine.h"
 #include "shard/sharded_graph.h"
 #include "shard/summaries.h"
 
@@ -224,6 +227,47 @@ TEST_F(ShardMirrorTest, UndirectedSingleShardDegeneratesToUnion) {
   CheckSummaries();
   EXPECT_EQ(context_->shard_graph(0).NumAliveEdges(),
             union_graph_->NumAliveEdges());
+}
+
+TEST(ShardedContextTest, UnbatchedEventsAfterABatchReachTheSink) {
+  // A pooled batch interposes the buffered sinks; the single events after
+  // it run on the inline path and must drain those buffers too, or the
+  // matches of a trailing run of unbatched events never reach the sink.
+  TemporalDataset ds;
+  ds.vertex_labels = {0, 0};
+  for (const Timestamp t : {1, 1, 5, 6}) {
+    TemporalEdge e;
+    e.id = static_cast<EdgeId>(ds.edges.size());
+    e.src = 0;
+    e.dst = 1;
+    e.ts = t;
+    ds.edges.push_back(e);
+  }
+  QueryGraph q(/*directed=*/false);
+  q.AddVertex(0);
+  q.AddVertex(0);
+  q.AddEdge(0, 1);
+  const GraphSchema schema{false, ds.vertex_labels};
+  StreamConfig config;
+  config.window = 100;
+
+  SharedStreamContext serial(schema);
+  TcmEngine engine(q, serial.graph());
+  CollectingSink serial_sink;
+  engine.set_sink(&serial_sink);
+  serial.Attach(&engine);
+  ASSERT_TRUE(RunStream(ds, config, &serial).completed);
+
+  ShardedStreamContext sharded(schema, /*num_shards=*/2, /*num_threads=*/2);
+  ShardedTcmEngine sharded_engine(q, sharded.view());
+  CollectingSink sharded_sink;
+  sharded_engine.set_sink(&sharded_sink);
+  sharded.Attach(&sharded_engine);
+  ASSERT_TRUE(RunStream(ds, config, &sharded).completed);
+
+  EXPECT_EQ(serial_sink.matches().size(), 16u);  // 4 edges x 2 x (+, -)
+  ASSERT_EQ(sharded_sink.matches().size(), serial_sink.matches().size());
+  EXPECT_EQ(sharded_sink.matches(), serial_sink.matches());
 }
 
 }  // namespace

@@ -1,7 +1,20 @@
+// The stream driver's contract, checked through both of its sources:
+// the in-memory dataset (RunStream) and a StreamReader (ReplayStream)
+// over the same stream written by StreamWriter, in both framings.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/stream_driver.h"
 #include "core/tcm_engine.h"
+#include "datasets/synthetic.h"
+#include "io/replay.h"
+#include "io/stream_reader.h"
+#include "io/stream_writer.h"
+#include "querygen/query_generator.h"
 #include "testlib/running_example.h"
 
 namespace tcsm {
@@ -43,7 +56,58 @@ TemporalDataset ThreeEdges() {
 
 GraphSchema TwoVertexSchema() { return GraphSchema{false, {0, 0}}; }
 
-TEST(StreamDriver, ExpirationsBeforeArrivalsOnTies) {
+enum class Source { kDataset, kTextReader, kBinaryReader };
+
+std::string SourceName(const ::testing::TestParamInfo<Source>& info) {
+  switch (info.param) {
+    case Source::kDataset:
+      return "Dataset";
+    case Source::kTextReader:
+      return "TextReader";
+    default:
+      return "BinaryReader";
+  }
+}
+
+/// Drives `ds` into `ctx` through `source`: RunStream over the dataset,
+/// or ReplayStream over a reader of the same arrivals written with
+/// StreamWriter. The written header records no window, so
+/// `config.window` governs every source alike.
+StreamResult Drive(Source source, const TemporalDataset& ds,
+                   const StreamConfig& config, SharedStreamContext* ctx) {
+  if (source == Source::kDataset) return RunStream(ds, config, ctx);
+  std::stringstream tel(std::ios::in | std::ios::out | std::ios::binary);
+  StreamWriter writer(tel);
+  TelWriteOptions options;
+  options.binary = source == Source::kBinaryReader;
+  EXPECT_TRUE(writer.BeginStream(ds.directed, ds.vertex_labels, options).ok());
+  for (const TemporalEdge& e : ds.edges) {
+    EXPECT_TRUE(writer.RecordArrival(e).ok());
+  }
+  EXPECT_TRUE(writer.Finish().ok());
+  StreamReader reader(tel, "test.tel");
+  EXPECT_TRUE(reader.Init().ok());
+  EXPECT_EQ(reader.binary(), source == Source::kBinaryReader);
+  auto res = ReplayStream(&reader, config, ctx);
+  EXPECT_TRUE(res.ok()) << res.status().ToString();
+  return res.ok() ? res.value() : StreamResult{};
+}
+
+class StreamDriverSources : public ::testing::TestWithParam<Source> {
+ protected:
+  StreamResult Drive(const TemporalDataset& ds, const StreamConfig& config,
+                     SharedStreamContext* ctx) {
+    return tcsm::Drive(GetParam(), ds, config, ctx);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Sources, StreamDriverSources,
+                         ::testing::Values(Source::kDataset,
+                                           Source::kTextReader,
+                                           Source::kBinaryReader),
+                         SourceName);
+
+TEST_P(StreamDriverSources, ExpirationsBeforeArrivalsOnTies) {
   // Window 10: edge@1 expires at 11 — exactly when edge@11 arrives; the
   // expiration must be delivered first (Example II.2 semantics).
   SharedStreamContext ctx(TwoVertexSchema());
@@ -51,7 +115,7 @@ TEST(StreamDriver, ExpirationsBeforeArrivalsOnTies) {
   ctx.Attach(&engine);
   StreamConfig config;
   config.window = 10;
-  const StreamResult res = RunStream(ThreeEdges(), config, &ctx);
+  const StreamResult res = Drive(ThreeEdges(), config, &ctx);
   ASSERT_TRUE(res.completed);
   ASSERT_EQ(engine.events.size(), 6u);
   EXPECT_TRUE(engine.events[0].arrival);   // +e0 @1
@@ -63,27 +127,27 @@ TEST(StreamDriver, ExpirationsBeforeArrivalsOnTies) {
   EXPECT_FALSE(engine.events[5].arrival);  // -e2 @21
 }
 
-TEST(StreamDriver, AllEdgesEventuallyExpire) {
+TEST_P(StreamDriverSources, AllEdgesEventuallyExpire) {
   SharedStreamContext ctx(TwoVertexSchema());
   RecordingEngine engine;
   ctx.Attach(&engine);
   StreamConfig config;
   config.window = 1000;
-  const StreamResult res = RunStream(ThreeEdges(), config, &ctx);
+  const StreamResult res = Drive(ThreeEdges(), config, &ctx);
   EXPECT_EQ(res.events, 6u);
   size_t arrivals = 0;
   for (const auto& e : engine.events) arrivals += e.arrival;
   EXPECT_EQ(arrivals, 3u);
 }
 
-TEST(StreamDriver, MaxArrivalsTruncates) {
+TEST_P(StreamDriverSources, MaxArrivalsTruncates) {
   SharedStreamContext ctx(TwoVertexSchema());
   RecordingEngine engine;
   ctx.Attach(&engine);
   StreamConfig config;
   config.window = 1000;
   config.max_arrivals = 2;
-  const StreamResult res = RunStream(ThreeEdges(), config, &ctx);
+  const StreamResult res = Drive(ThreeEdges(), config, &ctx);
   ASSERT_TRUE(res.completed);
   EXPECT_EQ(res.events, 4u);  // 2 arrivals + their 2 expirations
   size_t arrivals = 0;
@@ -91,14 +155,14 @@ TEST(StreamDriver, MaxArrivalsTruncates) {
   EXPECT_EQ(arrivals, 2u);
 }
 
-TEST(StreamDriver, CountsMatchesFromEngineCounters) {
+TEST_P(StreamDriverSources, CountsMatchesFromEngineCounters) {
   const QueryGraph q = testlib::RunningExampleQuery();
   SingleQueryContext<TcmEngine> run(q, testlib::RunningExampleSchema());
   StreamConfig config;
   config.window = 10;
   // No sink attached: counters must still track matches.
   const StreamResult res =
-      RunStream(testlib::RunningExampleDataset(), config, &run);
+      Drive(testlib::RunningExampleDataset(), config, &run);
   ASSERT_TRUE(res.completed);
   EXPECT_EQ(res.occurred, 6u);
   EXPECT_EQ(res.expired, 6u);
@@ -109,14 +173,13 @@ TEST(StreamDriver, CountsMatchesFromEngineCounters) {
   EXPECT_GT(res.adj_entries_scanned, 0u);
 }
 
-TEST(StreamDriver, PeakMemorySampled) {
+TEST_P(StreamDriverSources, PeakMemorySampled) {
   const QueryGraph q = testlib::RunningExampleQuery();
   SingleQueryContext<TcmEngine> run(q, testlib::RunningExampleSchema());
   StreamConfig config;
   config.window = 10;
-  config.memory_sample_every = 1;
   const StreamResult res =
-      RunStream(testlib::RunningExampleDataset(), config, &run);
+      Drive(testlib::RunningExampleDataset(), config, &run);
   EXPECT_GT(res.peak_memory_bytes, 0u);
 }
 
@@ -172,6 +235,68 @@ TEST(StreamDriver, RejectsTimestampsThatCouldOverflowExpiry) {
   EXPECT_EQ(res3.events, 2u);  // the arrival and its expiration
 }
 
+TEST(StreamDriver, RefusesAMissingWindowWithoutAborting) {
+  // A dataset has no window of its own, so a non-positive window is a
+  // Status on the result — completed=false, zero events delivered — not
+  // a process abort.
+  SharedStreamContext ctx(TwoVertexSchema());
+  RecordingEngine engine;
+  ctx.Attach(&engine);
+  for (const Timestamp window : {Timestamp{0}, Timestamp{-5}}) {
+    StreamConfig config;
+    config.window = window;
+    const StreamResult res = RunStream(ThreeEdges(), config, &ctx);
+    EXPECT_FALSE(res.completed);
+    EXPECT_EQ(res.error.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(res.error.message().find("no expiry window"),
+              std::string::npos)
+        << res.error.message();
+    EXPECT_EQ(res.events, 0u);
+  }
+  EXPECT_TRUE(engine.events.empty());
+}
+
+TEST(StreamDriver, SourcesAgreeOnCountsAndBatches) {
+  // A bursty synthetic stream (same-timestamp runs, so batching matters)
+  // under a generated query: every source delivers the same events and
+  // the engine sees the same matches and scan work.
+  SyntheticSpec spec;
+  spec.num_vertices = 120;
+  spec.num_edges = 3000;
+  spec.num_vertex_labels = 2;
+  spec.avg_parallel_edges = 2;
+  spec.ts_coalesce = 4;
+  spec.seed = 7;
+  const TemporalDataset ds = GenerateSynthetic(spec);
+  QueryGenOptions qopt;
+  qopt.num_edges = 3;
+  qopt.window = 150;
+  Rng rng(11);
+  QueryGraph q;
+  ASSERT_TRUE(GenerateQuery(ds, qopt, &rng, &q));
+  const GraphSchema schema{ds.directed, ds.vertex_labels};
+  StreamConfig config;
+  config.window = 150;
+
+  std::vector<StreamResult> results;
+  for (const Source source :
+       {Source::kDataset, Source::kTextReader, Source::kBinaryReader}) {
+    SingleQueryContext<TcmEngine> run(q, schema);
+    results.push_back(Drive(source, ds, config, &run));
+    ASSERT_TRUE(results.back().completed);
+  }
+  const StreamResult& ref = results[0];
+  EXPECT_EQ(ref.events, 2 * ds.edges.size());
+  EXPECT_GT(ref.occurred, 0u);
+  for (const StreamResult& res : results) {
+    EXPECT_EQ(res.events, ref.events);
+    EXPECT_EQ(res.occurred, ref.occurred);
+    EXPECT_EQ(res.expired, ref.expired);
+    EXPECT_EQ(res.adj_entries_scanned, ref.adj_entries_scanned);
+    EXPECT_EQ(res.adj_entries_matched, ref.adj_entries_matched);
+  }
+}
+
 /// Memory estimate proportional to the live-edge count: unlike the real
 /// engines (whose pools never shrink), this makes the mid-stream window
 /// high-water point genuinely larger than the end state.
@@ -186,7 +311,7 @@ class LiveWeightedEngine : public ContinuousEngine {
   size_t live_ = 0;
 };
 
-TEST(StreamDriver, PeakMemoryCatchesHighWaterBetweenSamples) {
+TEST_P(StreamDriverSources, PeakMemoryCatchesHighWaterBetweenSamples) {
   // 20 arrivals, then a pure-expiry tail: the peak (20 live edges) sits
   // between the adaptive sample points, and every sample the old cadence
   // took after the tail began would see a shrinking window. The driver
@@ -206,9 +331,12 @@ TEST(StreamDriver, PeakMemoryCatchesHighWaterBetweenSamples) {
   }
   StreamConfig config;
   config.window = 1000;  // nothing expires until the stream is exhausted
-  const StreamResult res = RunStream(ds, config, &ctx);
+  const StreamResult res = Drive(ds, config, &ctx);
   ASSERT_TRUE(res.completed);
   EXPECT_GE(res.peak_memory_bytes, size_t{20} << 20);
+  // Whatever the source's sample cadence, the high-water sample pins the
+  // peak to the last arrival.
+  EXPECT_EQ(res.peak_memory_event_index, 20u);
 }
 
 /// Context that records the size of every batch the driver hands it.
@@ -227,7 +355,7 @@ class BatchRecordingContext : public SharedStreamContext {
   std::vector<size_t> expiry_batches;
 };
 
-TEST(StreamDriver, CoalescesSameTimestampRuns) {
+TEST_P(StreamDriverSources, CoalescesSameTimestampRuns) {
   TemporalDataset ds;
   ds.vertex_labels = {0, 0};
   const Timestamp times[] = {1, 1, 1, 2, 2, 9};
@@ -245,7 +373,7 @@ TEST(StreamDriver, CoalescesSameTimestampRuns) {
     BatchRecordingContext ctx(TwoVertexSchema());
     RecordingEngine engine;
     ctx.Attach(&engine);
-    const StreamResult res = RunStream(ds, config, &ctx);
+    const StreamResult res = Drive(ds, config, &ctx);
     ASSERT_TRUE(res.completed);
     EXPECT_EQ(res.events, 12u);
     EXPECT_EQ(ctx.arrival_batches, (std::vector<size_t>{3, 2, 1}));
@@ -256,14 +384,14 @@ TEST(StreamDriver, CoalescesSameTimestampRuns) {
     // The cap splits runs; 1 restores the one-call-per-event behavior.
     BatchRecordingContext ctx(TwoVertexSchema());
     config.max_batch = 2;
-    const StreamResult res = RunStream(ds, config, &ctx);
+    const StreamResult res = Drive(ds, config, &ctx);
     ASSERT_TRUE(res.completed);
     EXPECT_EQ(ctx.arrival_batches, (std::vector<size_t>{2, 1, 2, 1}));
   }
   {
     BatchRecordingContext ctx(TwoVertexSchema());
     config.max_batch = 1;
-    const StreamResult res = RunStream(ds, config, &ctx);
+    const StreamResult res = Drive(ds, config, &ctx);
     ASSERT_TRUE(res.completed);
     EXPECT_EQ(ctx.arrival_batches, std::vector<size_t>(6, 1));
     EXPECT_EQ(ctx.expiry_batches, std::vector<size_t>(6, 1));
