@@ -5,17 +5,16 @@
 //
 // What the ratio measures (DESIGN.md §9): the match stream is identical
 // in every configuration — batching only amortizes per-event fixed
-// costs. Serially that is the driver-loop bookkeeping (small); through
-// the parallel fan-out a batch of k same-timestamp events replaces k
-// condition-variable pool barriers (1 per arrival, 2 per expiration)
-// with ONE pipelined pool job whose step fences are spin/yield waits —
-// the dominant per-event cost of fine-grained fan-out, especially when
-// workers outnumber cores. Correctness is re-checked on the fly: every
-// configuration must report the unbatched serial run's occurred count.
+// costs. Serially that is the driver-loop bookkeeping (small). Through
+// the parallel fan-out every delivery — an unbatched event is a batch of
+// one — is one pipelined pool job, so a batch of k same-timestamp events
+// replaces k job publications (and the step fences between their
+// phases run back to back instead of around the driver's loop) with one.
+// Correctness is re-checked on the fly: every configuration must report
+// the unbatched serial run's occurred count.
 //
-// The `batch_speedup` field (batched vs unbatched at the same thread
-// count) is the acceptance metric: >= 1.3x at 4 threads on the default
-// preset. `events_per_sec` feeds the perf-regression gate
+// The `batch_speedup` field is batched vs unbatched at the same thread
+// count. `events_per_sec` feeds the perf-regression gate
 // (tools/bench_compare.py against bench/baselines/).
 #include <iostream>
 #include <vector>

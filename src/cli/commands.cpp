@@ -134,13 +134,24 @@ std::unique_ptr<ContinuousEngine> MakeCliEngine(const std::string& kind,
   return nullptr;
 }
 
-/// Parses --shards (clamped to >= 1) and enforces that sharded execution
-/// is only requested with the TCM engine — the only engine instantiated
-/// over the sharded graph view. Returns 0 after printing an error.
+/// Upper bound on --threads and --shards: each thread is an OS thread and
+/// each shard a full-vertex-set graph, so an unbounded value would spawn
+/// or allocate without limit before anything could fail.
+constexpr int64_t kMaxParallelism = 256;
+
+/// Parses --shards (clamped to >= 1, capped at kMaxParallelism) and
+/// enforces that sharded execution is only requested with the TCM engine
+/// — the only engine instantiated over the sharded graph view. Returns 0
+/// after printing an error.
 size_t ResolveShards(const FlagSet& flags, const std::string& kind,
                      std::ostream& out) {
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("shards", 1)));
+  const int64_t requested = flags.GetInt("shards", 1);
+  if (requested > kMaxParallelism) {
+    out << "error: --shards=" << requested << " exceeds the maximum of "
+        << kMaxParallelism << "\n";
+    return 0;
+  }
+  const size_t shards = static_cast<size_t>(std::max<int64_t>(1, requested));
   if (shards > 1 && kind != "tcm") {
     out << "error: --shards=" << shards
         << " requires --engine=tcm (only the TCM engine reads through "
@@ -151,10 +162,18 @@ size_t ResolveShards(const FlagSet& flags, const std::string& kind,
 }
 
 /// --threads with a sharded-aware default: one pool lane per shard when
-/// sharding is requested, the serial 1 otherwise.
-size_t ResolveThreads(const FlagSet& flags, size_t shards) {
-  return static_cast<size_t>(std::max<int64_t>(
-      1, flags.GetInt("threads", static_cast<int64_t>(shards))));
+/// sharding is requested, the serial 1 otherwise. Capped at
+/// kMaxParallelism; returns 0 after printing an error.
+size_t ResolveThreads(const FlagSet& flags, size_t shards,
+                      std::ostream& out) {
+  const int64_t requested =
+      flags.GetInt("threads", static_cast<int64_t>(shards));
+  if (requested > kMaxParallelism) {
+    out << "error: --threads=" << requested << " exceeds the maximum of "
+        << kMaxParallelism << "\n";
+    return 0;
+  }
+  return static_cast<size_t>(std::max<int64_t>(1, requested));
 }
 
 /// Builds the synthetic dataset named by `kind` ("random" or a preset);
@@ -662,7 +681,8 @@ int CmdRun(const Args& args, std::ostream& out) {
   const std::string kind = flags.GetString("engine", "tcm");
   const size_t shards = ResolveShards(flags, kind, out);
   if (shards == 0) return 1;
-  const size_t threads = ResolveThreads(flags, shards);
+  const size_t threads = ResolveThreads(flags, shards, out);
+  if (threads == 0) return 1;
   if (threads > 1 && shards == 1) {
     // Fan-out shards *engines*; this subcommand attaches exactly one, so
     // the run stays serial however many workers the pool has. Say so,
@@ -800,7 +820,8 @@ int CmdReplay(const Args& args, std::ostream& out) {
   const std::string kind = flags.GetString("engine", "tcm");
   const size_t shards = ResolveShards(flags, kind, out);
   if (shards == 0) return 1;
-  const size_t threads = ResolveThreads(flags, shards);
+  const size_t threads = ResolveThreads(flags, shards, out);
+  if (threads == 0) return 1;
   // --json promises machine-readable stdout: exactly one JSON line, so
   // the advisory chatter below is suppressed under it.
   if (threads > 1 && shards == 1 && queries.size() == 1 && !json) {

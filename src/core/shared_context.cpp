@@ -35,25 +35,19 @@ TemporalEdge SharedStreamContext::CaptureExpiry(const TemporalEdge& ed) const {
   return g_.Edge(ed.id);
 }
 
-void SharedStreamContext::OnEdgeArrival(const TemporalEdge& ed) {
-  NotifyInserted(ApplyArrival(ed));
-}
-
-void SharedStreamContext::OnEdgeExpiry(const TemporalEdge& ed) {
-  const TemporalEdge applied = CaptureExpiry(ed);
-  NotifyExpiring(applied);
-  g_.RemoveEdge(applied.id);
-  NotifyRemoved(applied);
-}
-
 void SharedStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
                                              size_t count) {
-  for (size_t i = 0; i < count; ++i) OnEdgeArrival(edges[i]);
+  for (size_t i = 0; i < count; ++i) NotifyInserted(ApplyArrival(edges[i]));
 }
 
 void SharedStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
                                             size_t count) {
-  for (size_t i = 0; i < count; ++i) OnEdgeExpiry(edges[i]);
+  for (size_t i = 0; i < count; ++i) {
+    const TemporalEdge applied = CaptureExpiry(edges[i]);
+    NotifyExpiring(applied);
+    ApplyRemoval(applied.id);
+    NotifyRemoved(applied);
+  }
 }
 
 void SharedStreamContext::NotifyInserted(const TemporalEdge& ed) {

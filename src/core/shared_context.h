@@ -6,12 +6,15 @@
 // keep only per-query state — O(1) graph storage and one adjacency update
 // per event for any number of queries (DESIGN.md §1).
 //
-// The fan-out itself is a protected virtual seam (NotifyInserted /
-// NotifyExpiring / NotifyRemoved): the base class notifies engines in
-// attach order on the calling thread, and ParallelStreamContext
-// (exec/parallel_context.h) overrides the seam to shard the per-engine
-// work across a worker pool while the graph mutations stay on the driver
-// thread (DESIGN.md §6).
+// Every event enters through the batch entry points — a single event is
+// a batch of one. The base batch loops hold the one serial copy of the
+// per-edge protocol and notify engines in attach order on the calling
+// thread through a protected virtual seam (NotifyInserted /
+// NotifyExpiring / NotifyRemoved) that instrumented subclasses wrap.
+// ParallelStreamContext (exec/parallel_context.h) and
+// ShardedStreamContext (shard/sharded_context.h) override the batch
+// entry points to run a batch as one pipelined pool job while the graph
+// mutations stay on the driver thread (DESIGN.md §6, §10).
 #ifndef TCSM_CORE_SHARED_CONTEXT_H_
 #define TCSM_CORE_SHARED_CONTEXT_H_
 
@@ -45,27 +48,25 @@ class SharedStreamContext {
   virtual void Attach(ContinuousEngine* engine);
   const std::vector<ContinuousEngine*>& engines() const { return engines_; }
 
-  /// Applies an arrival to the shared graph (edge ids must be the dense
-  /// arrival indices 0, 1, 2, ... of TemporalDataset::Normalize()) and
-  /// notifies every engine with the canonical graph edge. Virtual (like
-  /// the batch entry points) so a sharded context can substitute its own
-  /// storage: the base implementation touches the base g_.
-  virtual void OnEdgeArrival(const TemporalEdge& ed);
+  /// Applies an arrival (edge ids must be the dense arrival indices
+  /// 0, 1, 2, ... of TemporalDataset::Normalize()) and notifies every
+  /// engine with the canonical graph edge: a batch of one.
+  void OnEdgeArrival(const TemporalEdge& ed) { OnEdgeArrivalBatch(&ed, 1); }
 
-  /// Two-phase expiration (DESIGN.md §3): engines first enumerate the
-  /// embeddings that die with the edge against the pre-deletion graph,
-  /// then the edge is removed once and engines update their indexes.
-  virtual void OnEdgeExpiry(const TemporalEdge& ed);
+  /// Two-phase expiration (DESIGN.md §3) of one edge: a batch of one.
+  void OnEdgeExpiry(const TemporalEdge& ed) { OnEdgeExpiryBatch(&ed, 1); }
 
-  /// Micro-batch entry points (DESIGN.md §9): `count` consecutive events
+  /// The per-edge entry points (DESIGN.md §9): `count` consecutive events
   /// of one kind sharing a timestamp, delivered together so a driver can
   /// amortize its per-event bookkeeping and an override can amortize the
   /// fan-out machinery. The event protocol is NOT relaxed: each edge is
-  /// applied to the graph and fanned out to every engine before the next
-  /// edge of the batch mutates anything, so the match stream is
-  /// byte-identical to `count` single-event calls by construction. The
-  /// base implementations simply loop; ParallelStreamContext overrides
-  /// them to run the whole batch as one pipelined pool job.
+  /// applied and fanned out to every engine before the next edge of the
+  /// batch mutates anything. For an arrival: apply, then NotifyInserted.
+  /// For an expiry: capture the live record, NotifyExpiring against the
+  /// pre-deletion graph, remove, then NotifyRemoved. The base loops run
+  /// exactly that on the calling thread; the parallel and sharded
+  /// contexts override them to run the whole batch as one pipelined pool
+  /// job.
   virtual void OnEdgeArrivalBatch(const TemporalEdge* edges, size_t count);
   virtual void OnEdgeExpiryBatch(const TemporalEdge* edges, size_t count);
 
@@ -101,20 +102,21 @@ class SharedStreamContext {
   virtual size_t num_shards() const { return 1; }
 
  protected:
-  /// Engine fan-out seam. The base implementations notify every attached
-  /// engine in attach order on the calling thread; overrides may
-  /// distribute the calls but must preserve the event protocol: the
-  /// arrival is already applied when NotifyInserted runs, the expiring
-  /// edge is still live throughout NotifyExpiring and already removed
-  /// when NotifyRemoved runs, and every engine must have returned before
-  /// the context mutates the graph again.
+  /// Engine fan-out seam of the base batch loops: notifies every
+  /// attached engine in attach order on the calling thread. Virtual so an
+  /// instrumented subclass can wrap each phase; an override must preserve
+  /// the event protocol: the arrival is already applied when
+  /// NotifyInserted runs, the expiring edge is still live throughout
+  /// NotifyExpiring and already removed when NotifyRemoved runs, and
+  /// every engine must have returned before the context mutates the graph
+  /// again.
   virtual void NotifyInserted(const TemporalEdge& ed);
   virtual void NotifyExpiring(const TemporalEdge& ed);
   virtual void NotifyRemoved(const TemporalEdge& ed);
 
-  /// Graph-mutation halves of the single-event entry points, exposed so
-  /// batch overrides can interleave mutations with their own fan-out
-  /// while the mutations themselves stay on the driver thread.
+  /// Graph-mutation halves of the per-edge protocol, exposed so batch
+  /// overrides can interleave mutations with their own fan-out while the
+  /// mutations themselves stay on the driver thread.
   /// ApplyArrival inserts and returns the canonical record (valid until
   /// the next mutation); CaptureExpiry validates and copies the canonical
   /// record of a live edge; ApplyRemoval removes it (the record stays

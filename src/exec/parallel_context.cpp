@@ -8,23 +8,13 @@ ParallelStreamContext::ParallelStreamContext(const GraphSchema& schema,
                                              size_t num_threads)
     : SharedStreamContext(schema), pool_(num_threads) {}
 
-void ParallelStreamContext::RunPhase(
-    void (ContinuousEngine::*hook)(const TemporalEdge&),
-    const TemporalEdge& ed) {
-  const std::vector<ContinuousEngine*>& attached = engines();
-  sinks_.RunOrDiscard([&] {
-    pool_.ParallelFor(attached.size(),
-                      [&](size_t i) { (attached[i]->*hook)(ed); });
-  });
-}
-
 void ParallelStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
                                                size_t count) {
-  const std::vector<ContinuousEngine*>& attached = engines();
-  if (!pool_.pooled() || count <= 1 || attached.empty()) {
+  if (!pool_.pooled() || count == 0) {
     SharedStreamContext::OnEdgeArrivalBatch(edges, count);
     return;
   }
+  const std::vector<ContinuousEngine*>& attached = engines();
   sinks_.Sync(attached);
   batch_scratch_.clear();
   batch_scratch_.reserve(count);
@@ -61,11 +51,11 @@ void ParallelStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
 
 void ParallelStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
                                               size_t count) {
-  const std::vector<ContinuousEngine*>& attached = engines();
-  if (!pool_.pooled() || count <= 1 || attached.empty()) {
+  if (!pool_.pooled() || count == 0) {
     SharedStreamContext::OnEdgeExpiryBatch(edges, count);
     return;
   }
+  const std::vector<ContinuousEngine*>& attached = engines();
   sinks_.Sync(attached);
   batch_scratch_.clear();
   batch_scratch_.reserve(count);
@@ -105,55 +95,6 @@ void ParallelStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
           steps.Restart();
         });
   });
-}
-
-void ParallelStreamContext::NotifyInserted(const TemporalEdge& ed) {
-  if (!pool_.pooled()) {
-    SharedStreamContext::NotifyInserted(ed);
-    return;
-  }
-  const StageMetrics* const stages = stage_metrics();
-  sinks_.Sync(engines());
-  {
-    const ScopedStage span(
-        stages != nullptr ? stages->pipeline_step_ns : nullptr,
-        trace_writer(), "insert_fanout", "pipeline");
-    RunPhase(&ContinuousEngine::OnEdgeInserted, ed);
-  }
-  sinks_.DrainAll();
-}
-
-void ParallelStreamContext::NotifyExpiring(const TemporalEdge& ed) {
-  if (!pool_.pooled()) {
-    SharedStreamContext::NotifyExpiring(ed);
-    return;
-  }
-  const StageMetrics* const stages = stage_metrics();
-  sinks_.Sync(engines());
-  {
-    const ScopedStage span(
-        stages != nullptr ? stages->pipeline_step_ns : nullptr,
-        trace_writer(), "expiring_fanout", "pipeline");
-    RunPhase(&ContinuousEngine::OnEdgeExpiring, ed);
-  }
-  // Draining here (before the context removes the edge) keeps even the
-  // inter-phase sink timing identical to serial execution.
-  sinks_.DrainAll();
-}
-
-void ParallelStreamContext::NotifyRemoved(const TemporalEdge& ed) {
-  if (!pool_.pooled()) {
-    SharedStreamContext::NotifyRemoved(ed);
-    return;
-  }
-  const StageMetrics* const stages = stage_metrics();
-  {
-    const ScopedStage span(
-        stages != nullptr ? stages->pipeline_step_ns : nullptr,
-        trace_writer(), "removed_fanout", "pipeline");
-    RunPhase(&ContinuousEngine::OnEdgeRemoved, ed);
-  }
-  sinks_.DrainAll();
 }
 
 }  // namespace tcsm

@@ -3,13 +3,14 @@
 namespace tcsm {
 
 void BufferedMatchSink::Drain() {
-  if (buffer_.empty()) return;
+  if (size_ == 0) return;
   if (downstream_ != nullptr) {
-    for (const Record& r : buffer_) {
+    for (size_t i = 0; i < size_; ++i) {
+      const Record& r = buffer_[i];
       downstream_->OnMatch(r.embedding, r.kind, r.multiplicity);
     }
   }
-  buffer_.clear();
+  size_ = 0;
 }
 
 void SinkBuffers::Sync(const std::vector<ContinuousEngine*>& engines) {

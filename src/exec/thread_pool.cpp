@@ -1,6 +1,7 @@
 #include "exec/thread_pool.h"
 
 #include <chrono>
+#include <utility>
 
 namespace tcsm {
 
@@ -20,6 +21,12 @@ inline void PipelineBackoff(uint32_t* spins) {
   std::this_thread::sleep_for(std::chrono::microseconds(50));
 }
 
+/// Polls an idle worker makes for the next job before it blocks: stream
+/// events arrive back to back, so a worker that stays awake between them
+/// joins the next job without a kernel wake-up. The first 64 polls spin,
+/// the rest yield the core.
+constexpr uint32_t kIdlePolls = 2048;
+
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -35,7 +42,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
     // of letting ~vector terminate on joinable threads.
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
+      stop_.store(true, std::memory_order_relaxed);
     }
     work_cv_.notify_all();
     for (std::thread& w : workers_) w.join();
@@ -46,112 +53,79 @@ ThreadPool::ThreadPool(size_t num_threads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+    stop_.store(true, std::memory_order_relaxed);
   }
   work_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::RunShard(const std::function<void(size_t)>& body, size_t n) {
-  for (;;) {
-    const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) return;
+void ThreadPool::RecordError(std::exception_ptr error) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!first_error_) first_error_ = std::move(error);
+  }
+  abort_.store(true, std::memory_order_relaxed);
+}
+
+bool ThreadPool::TryRun(const Body& body, size_t idx, size_t n) {
+  if (!next_.compare_exchange_weak(idx, idx + 1,
+                                   std::memory_order_relaxed)) {
+    return false;
+  }
+  if (!abort_.load(std::memory_order_relaxed)) {
     try {
-      body(i);
+      body(idx / n, idx % n);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-      // Cancel the indices nobody claimed yet; shards already running
-      // finish their current body first (the barrier still holds).
-      next_.store(n, std::memory_order_relaxed);
+      RecordError(std::current_exception());
+    }
+  }
+  done_.fetch_add(1, std::memory_order_release);
+  return true;
+}
+
+void ThreadPool::Participate(const Body& body, size_t steps, size_t n) {
+  const size_t total = steps * n;
+  uint32_t spins = 0;
+  for (;;) {
+    const size_t idx = next_.load(std::memory_order_relaxed);
+    if (idx >= total) return;
+    // The acquire pairs with the caller's release after settle(k-1), so
+    // a step-k body sees the settle's effects.
+    if (idx < open_.load(std::memory_order_acquire) * n) {
+      if (TryRun(body, idx, n)) spins = 0;
+    } else {
+      PipelineBackoff(&spins);
     }
   }
 }
 
-void ThreadPool::RunPipelineShard(
-    const std::function<void(size_t, size_t)>& body, size_t steps, size_t n) {
-  for (size_t k = 0; k < steps; ++k) {
-    uint32_t spins = 0;
-    while (pipe_open_.load(std::memory_order_acquire) <= k) {
-      PipelineBackoff(&spins);
-    }
-    for (;;) {
-      const size_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= (k + 1) * n) break;
-      if (pipe_abort_.load(std::memory_order_relaxed)) continue;
-      try {
-        body(k, idx - k * n);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (!first_error_) first_error_ = std::current_exception();
-        }
-        pipe_abort_.store(true, std::memory_order_relaxed);
-      }
-    }
-    pipe_arrived_.fetch_add(1, std::memory_order_release);
+uint64_t ThreadPool::AwaitJob(uint64_t seen) {
+  const auto fresh = [&]() -> uint64_t {
+    const uint64_t job = job_.load(std::memory_order_acquire);
+    return job != seen ? job : 0;
+  };
+  for (uint32_t polls = 0; polls < kIdlePolls; ++polls) {
+    if (stop_.load(std::memory_order_relaxed)) return 0;
+    if (const uint64_t job = fresh()) return job;
+    if (polls >= 64) std::this_thread::yield();
   }
+  std::unique_lock<std::mutex> lock(mu_);
+  uint64_t job = 0;
+  work_cv_.wait(lock, [&] {
+    return stop_.load(std::memory_order_relaxed) || (job = fresh()) != 0;
+  });
+  return stop_.load(std::memory_order_relaxed) ? 0 : job;
 }
 
 void ThreadPool::WorkerLoop() {
   uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(size_t)>* body = nullptr;
-    const std::function<void(size_t, size_t)>* pipe_body = nullptr;
-    size_t n = 0;
-    size_t steps = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      body = body_;
-      pipe_body = pipe_body_;
-      n = job_n_;
-      steps = pipe_steps_;
+  while (const uint64_t job = AwaitJob(seen)) {
+    seen = job;
+    inside_.fetch_add(1, std::memory_order_seq_cst);
+    if (job_.load(std::memory_order_seq_cst) == job) {
+      Participate(*body_, steps_, n_);
     }
-    if (pipe_body != nullptr) {
-      RunPipelineShard(*pipe_body, steps, n);
-    } else {
-      RunShard(*body, n);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_workers_;
-    }
-    done_cv_.notify_one();
-  }
-}
-
-void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    // Inline bypass: with no workers, or a single index that one thread
-    // would claim anyway, waking the pool buys nothing — the body runs
-    // on the caller with no pool machinery at all.
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    body_ = &body;
-    pipe_body_ = nullptr;
-    job_n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    first_error_ = nullptr;
-    active_workers_ = workers_.size();
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  RunShard(body, n);  // the caller thread claims indices too
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return active_workers_ == 0; });
-  body_ = nullptr;
-  if (first_error_) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
+    inside_.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -167,72 +141,59 @@ void ThreadPool::PipelineFor(size_t steps, size_t n,
     }
     return;
   }
-  const size_t participants = workers_.size() + 1;
+  // Workers still inside the previous (closed, fully claimed) job only
+  // have to notice that; wait for them before reusing the job state.
+  uint32_t spins = 0;
+  while (inside_.load(std::memory_order_acquire) != 0) {
+    PipelineBackoff(&spins);
+  }
+  body_ = &body;
+  steps_ = steps;
+  n_ = n;
+  next_.store(0, std::memory_order_relaxed);
+  open_.store(1, std::memory_order_relaxed);
+  done_.store(0, std::memory_order_relaxed);
+  abort_.store(false, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    body_ = nullptr;
-    pipe_body_ = &body;
-    pipe_steps_ = steps;
-    job_n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    pipe_arrived_.store(0, std::memory_order_relaxed);
-    pipe_abort_.store(false, std::memory_order_relaxed);
     first_error_ = nullptr;
-    active_workers_ = workers_.size();
-    ++generation_;
-    pipe_open_.store(1, std::memory_order_release);
+    job_.store(++last_job_, std::memory_order_release);
   }
   work_cv_.notify_all();
   for (size_t k = 0; k < steps; ++k) {
-    // Claim step-k indices alongside the workers.
-    for (;;) {
-      const size_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= (k + 1) * n) break;
-      if (pipe_abort_.load(std::memory_order_relaxed)) continue;
-      try {
-        body(k, idx - k * n);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (!first_error_) first_error_ = std::current_exception();
-        }
-        pipe_abort_.store(true, std::memory_order_relaxed);
-      }
+    // Claim step-k indices alongside the workers: the caller never waits
+    // for a worker to wake up, only for bodies a worker already claimed.
+    const size_t end = (k + 1) * n;
+    for (size_t idx = next_.load(std::memory_order_relaxed); idx < end;
+         idx = next_.load(std::memory_order_relaxed)) {
+      TryRun(body, idx, n);
     }
-    pipe_arrived_.fetch_add(1, std::memory_order_release);
-    // Step fence: every participant has drained its step-k claims (their
-    // release arrivals make the body effects visible here).
-    uint32_t spins = 0;
-    while (pipe_arrived_.load(std::memory_order_acquire) <
-           participants * (k + 1)) {
+    // Step fence: every step-k body has finished (their release
+    // increments make the effects visible here).
+    spins = 0;
+    while (done_.load(std::memory_order_acquire) < end) {
       PipelineBackoff(&spins);
     }
-    if (!pipe_abort_.load(std::memory_order_relaxed)) {
+    if (!abort_.load(std::memory_order_relaxed)) {
       try {
         settle(k);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!first_error_) first_error_ = std::current_exception();
-        pipe_abort_.store(true, std::memory_order_relaxed);
+        RecordError(std::current_exception());
       }
     }
-    if (k + 1 < steps) {
-      // Reset the claim counter to the next slice (safe: no participant
-      // touches next_ between its step-k arrival and step k+1 opening),
-      // then open step k+1; the release publishes settle(k)'s effects.
-      next_.store((k + 1) * n, std::memory_order_relaxed);
-      pipe_open_.store(k + 2, std::memory_order_release);
-    }
+    // Open step k+1; the release publishes settle(k)'s effects.
+    if (k + 1 < steps) open_.store(k + 2, std::memory_order_release);
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return active_workers_ == 0; });
-  pipe_body_ = nullptr;
-  pipe_open_.store(0, std::memory_order_relaxed);
-  if (first_error_) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
+  // Close the job. Every index is claimed and done, so a worker still
+  // inside only re-reads next_ and leaves; the seq_cst store pairs with
+  // the seq_cst enter in WorkerLoop, so no worker joins a closed job.
+  job_.store(0, std::memory_order_seq_cst);
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    error = std::exchange(first_error_, nullptr);
   }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace tcsm

@@ -87,7 +87,7 @@ TemporalEdge ShardedStreamContext::CaptureShardExpiry(
   return g.Edge(ed.id);
 }
 
-void ShardedStreamContext::NotifyShard(
+void ShardedStreamContext::RunShardHook(
     size_t s, void (ContinuousEngine::*hook)(const TemporalEdge&),
     const TemporalEdge& ed) {
   const std::vector<ContinuousEngine*>& attached = engines();
@@ -100,59 +100,12 @@ void ShardedStreamContext::DrainSinks() {
   }
 }
 
-void ShardedStreamContext::OnEdgeArrival(const TemporalEdge& ed) {
-  // Inline path (unbatched events and the serial bypass): same order of
-  // operations as one pipeline round, on the driver thread. Engines
-  // report into the buffers an earlier batch interposed (if any), so
-  // each notify phase drains them exactly as the pipeline's settle does.
-  // The engine-facing fan-out loops still emit the pipeline-step spans so
-  // a trace of a stream without coalescable batches shows the same phase
-  // structure.
-  const StageMetrics* const stages = stage_metrics();
-  TraceWriter* const trace = trace_writer();
-  for (size_t s = 0; s < graphs_.size(); ++s) ApplyShardArrival(s, ed);
-  const TemporalEdge& canonical = CanonicalArrival(ed);
-  {
-    const ScopedStage span(
-        stages != nullptr ? stages->pipeline_step_ns : nullptr, trace,
-        "insert_fanout", "pipeline");
-    for (size_t s = 0; s < graphs_.size(); ++s) {
-      NotifyShard(s, &ContinuousEngine::OnEdgeInserted, canonical);
-    }
-  }
-  DrainSinks();
-}
-
-void ShardedStreamContext::OnEdgeExpiry(const TemporalEdge& ed) {
-  const StageMetrics* const stages = stage_metrics();
-  TraceWriter* const trace = trace_writer();
-  Histogram* const step_hist =
-      stages != nullptr ? stages->pipeline_step_ns : nullptr;
-  const TemporalEdge applied = CaptureShardExpiry(ed);
-  {
-    const ScopedStage span(step_hist, trace, "expiring_fanout", "pipeline");
-    for (size_t s = 0; s < graphs_.size(); ++s) {
-      NotifyShard(s, &ContinuousEngine::OnEdgeExpiring, applied);
-    }
-  }
-  DrainSinks();
-  for (size_t s = 0; s < graphs_.size(); ++s) ApplyShardRemoval(s, applied);
-  {
-    const ScopedStage span(step_hist, trace, "removed_fanout", "pipeline");
-    for (size_t s = 0; s < graphs_.size(); ++s) {
-      NotifyShard(s, &ContinuousEngine::OnEdgeRemoved, applied);
-    }
-  }
-  DrainSinks();
-}
-
 void ShardedStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
                                               size_t count) {
-  if (!pool_.pooled() || count <= 1) {
-    for (size_t i = 0; i < count; ++i) OnEdgeArrival(edges[i]);
-    return;
-  }
-  sinks_.Sync(engines());
+  // Pooled lanes buffer their engines' reports for the ordered drain;
+  // inline lanes (one thread) already run in drain order, so engines
+  // report straight to their sinks.
+  if (pool_.pooled()) sinks_.Sync(engines());
   batch_scratch_.clear();
   batch_scratch_.reserve(count);
   const size_t shards = graphs_.size();
@@ -180,8 +133,8 @@ void ShardedStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
           } else {
             const ScopedStage lane(lane_hist, trace, "lane_notify", "shard",
                                    "shard", s);
-            NotifyShard(s, &ContinuousEngine::OnEdgeInserted,
-                        batch_scratch_[k / 2]);
+            RunShardHook(s, &ContinuousEngine::OnEdgeInserted,
+                         batch_scratch_[k / 2]);
           }
         },
         [&](size_t k) {
@@ -202,11 +155,8 @@ void ShardedStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
 
 void ShardedStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
                                              size_t count) {
-  if (!pool_.pooled() || count <= 1) {
-    for (size_t i = 0; i < count; ++i) OnEdgeExpiry(edges[i]);
-    return;
-  }
-  sinks_.Sync(engines());
+  if (count == 0) return;
+  if (pool_.pooled()) sinks_.Sync(engines());
   batch_scratch_.clear();
   batch_scratch_.reserve(count);
   batch_scratch_.push_back(CaptureShardExpiry(edges[0]));
@@ -231,7 +181,7 @@ void ShardedStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
             case 0: {
               const ScopedStage lane(lane_hist, trace, "lane_expiring",
                                      "shard", "shard", s);
-              NotifyShard(s, &ContinuousEngine::OnEdgeExpiring, ed);
+              RunShardHook(s, &ContinuousEngine::OnEdgeExpiring, ed);
               break;
             }
             case 1: {
@@ -243,7 +193,7 @@ void ShardedStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
             default: {
               const ScopedStage lane(lane_hist, trace, "lane_removed",
                                      "shard", "shard", s);
-              NotifyShard(s, &ContinuousEngine::OnEdgeRemoved, ed);
+              RunShardHook(s, &ContinuousEngine::OnEdgeRemoved, ed);
               break;
             }
           }

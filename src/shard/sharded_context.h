@@ -9,16 +9,18 @@
 // use TemporalGraph::InsertEdgeAs, so EdgeId-keyed engine state is
 // identical to an unsharded run and the slot pools stay O(window).
 //
-// Execution: a micro-batch of same-timestamp events runs as one
-// pipelined pool job with one lane per shard (ThreadPool::PipelineFor).
-// Mutation steps touch shard-local state only (lane s mutates graph s
-// and publishes the summary rows of the vertices s owns); notification
-// steps run each shard's engines, which read any shard's graph through
-// the ShardedGraphView — safe because no lane mutates during a
-// notification step and the pipeline step fences order
-// mutations-before-reads. Engines report into per-engine buffered sinks
-// drained on the driver in shard-then-attach order, so the match stream
-// is deterministic at every shard x thread count; with engines placed
+// Execution: a micro-batch of same-timestamp events — a single event is
+// a batch of one — runs as one pipelined pool job with one lane per shard
+// (ThreadPool::PipelineFor). Mutation steps touch shard-local state only
+// (lane s mutates graph s and publishes the summary rows of the vertices
+// s owns); notification steps run each shard's engines, which read any
+// shard's graph through the ShardedGraphView — safe because no lane
+// mutates during a notification step and the pipeline step fences order
+// mutations-before-reads. Pooled lanes report into per-engine buffered
+// sinks drained on the driver in shard-then-attach order; with one
+// thread the lanes run inline on the driver in that same order and
+// report straight to the sinks. Either way the match stream is
+// deterministic at every shard x thread count; with engines placed
 // contiguously (ShardedMultiQueryEngine) it is byte-identical to serial
 // execution, per query AND globally.
 //
@@ -75,13 +77,10 @@ class ShardedStreamContext : public SharedStreamContext {
   /// above.
   void Attach(ContinuousEngine* engine) override;
 
-  void OnEdgeArrival(const TemporalEdge& ed) override;
-  void OnEdgeExpiry(const TemporalEdge& ed) override;
-
   /// Batch entry points: the whole batch runs as ONE pipelined pool job,
   /// two steps per arrival (mutate shards, notify) and three per expiry
   /// (notify expiring, remove, notify removed) — the same event protocol
-  /// as the serial base, with a barrier between every step.
+  /// as the serial base, with a step fence between every step.
   void OnEdgeArrivalBatch(const TemporalEdge* edges, size_t count) override;
   void OnEdgeExpiryBatch(const TemporalEdge* edges, size_t count) override;
 
@@ -104,9 +103,9 @@ class ShardedStreamContext : public SharedStreamContext {
   TemporalEdge CaptureShardExpiry(const TemporalEdge& ed) const;
 
   /// Runs one engine hook over shard s's engines in attach order.
-  void NotifyShard(size_t s,
-                   void (ContinuousEngine::*hook)(const TemporalEdge&),
-                   const TemporalEdge& ed);
+  void RunShardHook(size_t s,
+                    void (ContinuousEngine::*hook)(const TemporalEdge&),
+                    const TemporalEdge& ed);
   /// Drains the buffers in shard-then-attach order (the deterministic
   /// merge of the per-shard match streams).
   void DrainSinks();
@@ -119,7 +118,7 @@ class ShardedStreamContext : public SharedStreamContext {
   /// Per shard, the indexes (into engines()) of the engines placed on
   /// it, in attach order.
   std::vector<std::vector<size_t>> shard_members_;
-  /// Interposed in front of every engine's sink once per batch.
+  /// Interposed in front of every engine's sink once per pooled batch.
   SinkBuffers sinks_;
   /// Canonical records of the in-flight batch; reserved up front so the
   /// driver's settle-phase push_back never reallocates under the lanes'

@@ -491,6 +491,41 @@ TEST(Cli, RunReportsTheDriversWindowErrors) {
   std::remove(query.c_str());
 }
 
+TEST(Cli, ParallelismFlagsAreCapped) {
+  // --threads and --shards above 256 are rejected before any context (and
+  // hence any thread or shard graph) is built: error + exit 1, no summary.
+  const std::string tel = TmpPath("cli_cap.tel");
+  {
+    std::ofstream f(tel);
+    f << "tel 1 undirected vertices=3 window=5\ne 0 1 1\ne 1 2 2\n";
+  }
+  const std::string query = TmpPath("cli_cap.tq");
+  {
+    std::ofstream f(query);
+    f << "t 2 1\nv 0 0\nv 1 0\ne 0 0 1\n";
+  }
+  for (const std::string flag : {"--threads=257", "--shards=257"}) {
+    const std::string name = flag.substr(0, flag.find('='));
+    std::ostringstream run;
+    EXPECT_EQ(CmdRun({tel, query, flag}, run), 1) << flag;
+    EXPECT_NE(run.str().find("error: " + name + "=257 exceeds the maximum "
+                             "of 256"),
+              std::string::npos)
+        << run.str();
+    EXPECT_EQ(run.str().find("events="), std::string::npos) << run.str();
+    std::ostringstream replay;
+    EXPECT_EQ(CmdReplay({tel, query, flag}, replay), 1) << flag;
+    EXPECT_NE(replay.str().find("error: " + name + "=257 exceeds the "
+                                "maximum of 256"),
+              std::string::npos)
+        << replay.str();
+    EXPECT_EQ(replay.str().find("events="), std::string::npos)
+        << replay.str();
+  }
+  std::remove(tel.c_str());
+  std::remove(query.c_str());
+}
+
 TEST(Cli, MainDispatch) {
   std::ostringstream out;
   std::ostringstream err;

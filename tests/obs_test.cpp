@@ -59,7 +59,8 @@ TEST(CounterTest, ExactUnderThreadPool) {
   Counter c;
   ThreadPool pool(8);
   constexpr size_t kIters = 10000;
-  pool.ParallelFor(kIters, [&](size_t i) { c.Add(i % 3 + 1); });
+  pool.PipelineFor(1, kIters, [&](size_t, size_t i) { c.Add(i % 3 + 1); },
+                   [](size_t) {});
   uint64_t expected = 0;
   for (size_t i = 0; i < kIters; ++i) expected += i % 3 + 1;
   EXPECT_EQ(c.Total(), expected);
@@ -100,7 +101,8 @@ TEST(HistogramTest, ExactUnderThreadPool) {
   Histogram h(ExponentialBounds(1, 2.0, 12));
   ThreadPool pool(8);
   constexpr size_t kIters = 20000;
-  pool.ParallelFor(kIters, [&](size_t i) { h.Observe(i % 100); });
+  pool.PipelineFor(1, kIters, [&](size_t, size_t i) { h.Observe(i % 100); },
+                   [](size_t) {});
   uint64_t expected_sum = 0;
   for (size_t i = 0; i < kIters; ++i) expected_sum += i % 100;
   EXPECT_EQ(h.TotalCount(), kIters);
@@ -235,10 +237,13 @@ TEST(StageTimerTest, StepObserverClosesOneSpanPerStep) {
 TEST(TraceWriterTest, SpansFromPoolThreadsGetDistinctNamedTracks) {
   TraceWriter trace;
   ThreadPool pool(4);
-  pool.ParallelFor(64, [&](size_t i) {
-    const uint64_t start = trace.NowNs();
-    trace.Emit("lane_notify", "shard", start, 100, "shard", i % 4);
-  });
+  pool.PipelineFor(
+      1, 64,
+      [&](size_t, size_t i) {
+        const uint64_t start = trace.NowNs();
+        trace.Emit("lane_notify", "shard", start, 100, "shard", i % 4);
+      },
+      [](size_t) {});
   EXPECT_EQ(trace.NumSpans(), 64u);
   std::ostringstream out;
   trace.WriteJson(out);

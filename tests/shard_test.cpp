@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "core/stream_driver.h"
 #include "core/tcm_engine.h"
+#include "exec/parallel_context.h"
 #include "graph/temporal_graph.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_context.h"
@@ -229,10 +230,45 @@ TEST_F(ShardMirrorTest, UndirectedSingleShardDegeneratesToUnion) {
             union_graph_->NumAliveEdges());
 }
 
+/// One context with one TCM engine reporting into a collecting sink.
+struct SingleEventRig {
+  std::unique_ptr<SharedStreamContext> context;
+  std::unique_ptr<ContinuousEngine> engine;
+  CollectingSink sink;
+
+  /// shards == 0 builds the engine-parallel context, otherwise a sharded
+  /// one; threads is the pool width either way.
+  SingleEventRig(const GraphSchema& schema, const QueryGraph& q,
+                 size_t shards, size_t threads) {
+    if (shards == 0) {
+      context = std::make_unique<ParallelStreamContext>(schema, threads);
+      engine = std::make_unique<TcmEngine>(q, context->graph());
+    } else {
+      auto sharded =
+          std::make_unique<ShardedStreamContext>(schema, shards, threads);
+      engine = std::make_unique<ShardedTcmEngine>(q, sharded->view());
+      context = std::move(sharded);
+    }
+    engine->set_sink(&sink);
+    context->Attach(engine.get());
+  }
+};
+
+/// Direct calls that bypass the driver: a two-edge arrival batch, then
+/// the remaining arrivals and every expiry one event at a time.
+void DriveSingleEvents(const TemporalDataset& ds, SharedStreamContext* ctx) {
+  ctx->OnEdgeArrivalBatch(ds.edges.data(), 2);
+  for (size_t i = 2; i < ds.edges.size(); ++i) ctx->OnEdgeArrival(ds.edges[i]);
+  for (const TemporalEdge& e : ds.edges) ctx->OnEdgeExpiry(e);
+}
+
 TEST(ShardedContextTest, UnbatchedEventsAfterABatchReachTheSink) {
-  // A pooled batch interposes the buffered sinks; the single events after
-  // it run on the inline path and must drain those buffers too, or the
-  // matches of a trailing run of unbatched events never reach the sink.
+  // Every context runs a single event as a batch of one. A pooled batch
+  // interposes the buffered sinks; the single events after it must drain
+  // those buffers too, or the matches of a trailing run of unbatched
+  // events never reach the sink. Checked on the engine-parallel context
+  // and on sharded contexts with and without a pool, through the driver
+  // and through direct calls.
   TemporalDataset ds;
   ds.vertex_labels = {0, 0};
   for (const Timestamp t : {1, 1, 5, 6}) {
@@ -257,17 +293,31 @@ TEST(ShardedContextTest, UnbatchedEventsAfterABatchReachTheSink) {
   engine.set_sink(&serial_sink);
   serial.Attach(&engine);
   ASSERT_TRUE(RunStream(ds, config, &serial).completed);
-
-  ShardedStreamContext sharded(schema, /*num_shards=*/2, /*num_threads=*/2);
-  ShardedTcmEngine sharded_engine(q, sharded.view());
-  CollectingSink sharded_sink;
-  sharded_engine.set_sink(&sharded_sink);
-  sharded.Attach(&sharded_engine);
-  ASSERT_TRUE(RunStream(ds, config, &sharded).completed);
-
   EXPECT_EQ(serial_sink.matches().size(), 16u);  // 4 edges x 2 x (+, -)
-  ASSERT_EQ(sharded_sink.matches().size(), serial_sink.matches().size());
-  EXPECT_EQ(sharded_sink.matches(), serial_sink.matches());
+
+  SharedStreamContext direct(schema);
+  TcmEngine direct_engine(q, direct.graph());
+  CollectingSink direct_sink;
+  direct_engine.set_sink(&direct_sink);
+  direct.Attach(&direct_engine);
+  DriveSingleEvents(ds, &direct);
+  EXPECT_EQ(direct_sink.matches().size(), 16u);
+
+  struct Shape {
+    size_t shards;
+    size_t threads;
+  };
+  for (const Shape shape : {Shape{0, 4}, Shape{2, 2}, Shape{2, 1}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shape.shards) +
+                 " threads=" + std::to_string(shape.threads));
+    SingleEventRig driven(schema, q, shape.shards, shape.threads);
+    ASSERT_TRUE(RunStream(ds, config, driven.context.get()).completed);
+    EXPECT_EQ(driven.sink.matches(), serial_sink.matches());
+
+    SingleEventRig called(schema, q, shape.shards, shape.threads);
+    DriveSingleEvents(ds, called.context.get());
+    EXPECT_EQ(called.sink.matches(), direct_sink.matches());
+  }
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Unit tests for the exec/ worker pool: lifecycle, the ParallelFor
-// completion barrier, exception propagation to the submitting thread, and
-// the single-thread bypass (no workers, body inline on the caller).
+// Unit tests for the exec/ worker pool: lifecycle, the PipelineFor
+// completion barrier and step ordering, exception propagation to the
+// submitting thread, and the single-thread bypass (no workers, body
+// inline on the caller).
 #include "exec/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -25,21 +27,28 @@ TEST(ThreadPoolTest, StartupShutdownWithoutWork) {
   }
 }
 
-TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
+/// A one-step pipeline: the plain fan-out every context step is made of.
+void FanOut(ThreadPool* pool, size_t n,
+            const std::function<void(size_t)>& body) {
+  pool->PipelineFor(1, n, [&](size_t, size_t i) { body(i); },
+                    [](size_t) {});
+}
+
+TEST(ThreadPoolTest, FanOutRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   const size_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  pool.ParallelFor(n, [&](size_t i) { hits[i].fetch_add(1); });
+  FanOut(&pool, n, [&](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ThreadPoolTest, ParallelForIsACompletionBarrier) {
+TEST(ThreadPoolTest, FanOutIsACompletionBarrier) {
   ThreadPool pool(4);
-  // Bodies stagger their finish; after ParallelFor returns every body
+  // Bodies stagger their finish; after PipelineFor returns every body
   // must have fully completed (the counter equals n, never less).
   std::atomic<size_t> completed{0};
   const size_t n = 64;
-  pool.ParallelFor(n, [&](size_t i) {
+  FanOut(&pool, n, [&](size_t i) {
     if (i % 7 == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -48,7 +57,7 @@ TEST(ThreadPoolTest, ParallelForIsACompletionBarrier) {
   EXPECT_EQ(completed.load(), n);
   // The pool is reusable: a second job sees a clean slate.
   completed.store(0);
-  pool.ParallelFor(n, [&](size_t) { completed.fetch_add(1); });
+  FanOut(&pool, n, [&](size_t) { completed.fetch_add(1); });
   EXPECT_EQ(completed.load(), n);
 }
 
@@ -58,7 +67,7 @@ TEST(ThreadPoolTest, ActuallyRunsConcurrently) {
   // run on distinct threads at the same time.
   ThreadPool pool(4);
   std::atomic<size_t> started{0};
-  pool.ParallelFor(4, [&](size_t) {
+  FanOut(&pool, 4, [&](size_t) {
     started.fetch_add(1);
     while (started.load() < 4) std::this_thread::yield();
   });
@@ -68,18 +77,16 @@ TEST(ThreadPoolTest, ActuallyRunsConcurrently) {
 TEST(ThreadPoolTest, ExceptionPropagatesToSubmitter) {
   ThreadPool pool(4);
   std::atomic<size_t> ran{0};
-  EXPECT_THROW(pool.ParallelFor(100,
-                                [&](size_t i) {
-                                  if (i == 13) {
-                                    throw std::runtime_error("boom");
-                                  }
-                                  ran.fetch_add(1);
-                                }),
+  EXPECT_THROW(FanOut(&pool, 100,
+                      [&](size_t i) {
+                        if (i == 13) throw std::runtime_error("boom");
+                        ran.fetch_add(1);
+                      }),
                std::runtime_error);
-  // The throw happened after the barrier: nothing is still running, and
+  // The throw happened after the join: nothing is still running, and
   // the pool stays usable.
   std::atomic<size_t> after{0};
-  pool.ParallelFor(50, [&](size_t) { after.fetch_add(1); });
+  FanOut(&pool, 50, [&](size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 50u);
 }
 
@@ -89,26 +96,33 @@ TEST(ThreadPoolTest, SingleThreadBypassStaysOnCallerThread) {
   EXPECT_EQ(pool.num_threads(), 1u);
   const std::thread::id caller = std::this_thread::get_id();
   std::set<std::thread::id> seen;
-  pool.ParallelFor(32, [&](size_t) { seen.insert(std::this_thread::get_id()); });
+  FanOut(&pool, 32, [&](size_t) { seen.insert(std::this_thread::get_id()); });
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(*seen.begin(), caller);
   // Inline mode propagates exceptions directly too, and skips the rest
-  // of the loop (fail-fast, like the pooled cancel).
+  // of the loop (fail-fast, like the pooled abort).
   size_t ran = 0;
-  EXPECT_THROW(pool.ParallelFor(10,
-                                [&](size_t i) {
-                                  if (i == 3) throw std::runtime_error("x");
-                                  ++ran;
-                                }),
+  EXPECT_THROW(FanOut(&pool, 10,
+                      [&](size_t i) {
+                        if (i == 3) throw std::runtime_error("x");
+                        ++ran;
+                      }),
                std::runtime_error);
   EXPECT_EQ(ran, 3u);
 }
 
 TEST(ThreadPoolTest, EmptyJobIsANoOp) {
+  // Zero steps run nothing at all; zero indices per step still settle.
   ThreadPool pool(4);
   bool touched = false;
-  pool.ParallelFor(0, [&](size_t) { touched = true; });
+  pool.PipelineFor(0, 8, [&](size_t, size_t) { touched = true; },
+                   [&](size_t) { touched = true; });
   EXPECT_FALSE(touched);
+  size_t settled = 0;
+  pool.PipelineFor(3, 0, [&](size_t, size_t) { touched = true; },
+                   [&](size_t) { ++settled; });
+  EXPECT_FALSE(touched);
+  EXPECT_EQ(settled, 3u);
 }
 
 TEST(ThreadPoolTest, PipelineForRunsEveryStepIndexOnceInStepOrder) {
@@ -137,13 +151,11 @@ TEST(ThreadPoolTest, PipelineForRunsEveryStepIndexOnceInStepOrder) {
       });
   for (size_t j = 0; j < steps * n; ++j) EXPECT_EQ(hits[j].load(), 1);
   EXPECT_EQ(settle_seen[steps].load(), 1);
-  // The pool is reusable afterwards, for both job kinds.
+  // The pool is reusable afterwards.
   std::atomic<size_t> after{0};
-  pool.ParallelFor(50, [&](size_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 50u);
   pool.PipelineFor(2, 4, [&](size_t, size_t) { after.fetch_add(1); },
                    [](size_t) {});
-  EXPECT_EQ(after.load(), 58u);
+  EXPECT_EQ(after.load(), 8u);
 }
 
 TEST(ThreadPoolTest, PipelineForBodyExceptionSkipsRemainingSettles) {
@@ -163,7 +175,7 @@ TEST(ThreadPoolTest, PipelineForBodyExceptionSkipsRemainingSettles) {
   // abandoned (bodies may be skipped, settles must be).
   EXPECT_EQ(settled.load(), 2u);
   std::atomic<size_t> after{0};
-  pool.ParallelFor(10, [&](size_t) { after.fetch_add(1); });
+  FanOut(&pool, 10, [&](size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 10u);
 }
 
