@@ -1,14 +1,15 @@
 // Sharded execution scaling: events/sec versus the shard count of the
-// ShardedStreamContext (1, 2, 4, 8 shards, one pool lane per shard) at
-// 16 and 64 concurrently monitored queries. The 1-shard measurement IS
-// the serial path (the pipeline bypasses the pool at one lane), so the
-// speedup column reads directly as "vertex-partitioned fan-out vs.
-// serial". Each measurement is emitted as a BENCH JSON line
+// ShardedStreamContext (1, 2, 4, 8 shards, each with a pool as wide as
+// its shard count) at 16 and 64 concurrently monitored queries. The
+// 1-shard measurement IS the serial path (one thread runs the serial
+// base loops), so the speedup column reads directly as
+// "vertex-partitioned storage under the engine fan-out vs. serial".
+// Each measurement is emitted as a BENCH JSON line
 // (bench_util/bench_json.h) with the shard count as an identity key.
 //
 // The workload mirrors bench_parallel_scaling (small label alphabet,
 // wide window) so most events survive TcmEngine::Relevant and reach the
-// filter/DCS/backtracking work that sharding distributes; a bench
+// filter/DCS/backtracking work the pool spreads across engines; a bench
 // dominated by irrelevant events would measure only pipeline overhead.
 // Correctness is re-checked on the fly: every shard count must report
 // exactly the occurred count of an unsharded MultiQueryEngine run (the
@@ -23,7 +24,7 @@
 #include "core/stream_driver.h"
 #include "datasets/synthetic.h"
 #include "querygen/query_generator.h"
-#include "shard/sharded_multi_engine.h"
+#include "shard/sharded_engine.h"
 
 using namespace tcsm;
 
@@ -76,8 +77,8 @@ int main(int argc, char** argv) {
 
     double serial_ms = 0;
     for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      ShardedMultiQueryEngine engine(queries, SchemaOf(ds), shards,
-                                     TcmConfig{});
+      ShardedMultiQueryEngine engine(queries, SchemaOf(ds), TcmConfig{},
+                                     shards);
       const StreamResult res = RunStream(ds, config, &engine);
       if (res.occurred != serial_occurred) {
         std::cerr << "ERROR: occurred counts diverged at " << shards

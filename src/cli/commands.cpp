@@ -161,9 +161,10 @@ size_t ResolveShards(const FlagSet& flags, const std::string& kind,
   return shards;
 }
 
-/// --threads with a sharded-aware default: one pool lane per shard when
-/// sharding is requested, the serial 1 otherwise. Capped at
-/// kMaxParallelism; returns 0 after printing an error.
+/// --threads with a sharded-aware default: a pool as wide as the shard
+/// count when sharding is requested, the serial 1 otherwise (either way
+/// the pool fans out engines, not shards). Capped at kMaxParallelism;
+/// returns 0 after printing an error.
 size_t ResolveThreads(const FlagSet& flags, size_t shards,
                       std::ostream& out) {
   const int64_t requested =
@@ -683,14 +684,13 @@ int CmdRun(const Args& args, std::ostream& out) {
   if (shards == 0) return 1;
   const size_t threads = ResolveThreads(flags, shards, out);
   if (threads == 0) return 1;
-  if (threads > 1 && shards == 1) {
-    // Fan-out shards *engines*; this subcommand attaches exactly one, so
-    // the run stays serial however many workers the pool has. Say so,
-    // rather than letting the header's threads= field suggest a parallel
-    // measurement. (--shards=N is different: it splits the graph
-    // maintenance itself, which parallelizes even for one engine.)
+  if (threads > 1) {
+    // The pool fans out *engines*, sharded or not; this subcommand
+    // attaches exactly one, so the run stays serial however many workers
+    // the pool has. Say so, rather than letting the header's threads=
+    // field suggest a parallel measurement.
     out << "note: run attaches a single engine; --threads=" << threads
-        << " shards per-engine work and cannot speed up one engine\n";
+        << " spreads per-engine work and cannot speed up one engine\n";
   }
 
   // The context owns the shared sliding-window graph — one canonical
@@ -824,7 +824,7 @@ int CmdReplay(const Args& args, std::ostream& out) {
   if (threads == 0) return 1;
   // --json promises machine-readable stdout: exactly one JSON line, so
   // the advisory chatter below is suppressed under it.
-  if (threads > 1 && shards == 1 && queries.size() == 1 && !json) {
+  if (threads > 1 && queries.size() == 1 && !json) {
     out << "note: one query attaches a single engine; --threads=" << threads
         << " cannot speed up one engine (pass several query files)\n";
   }
@@ -873,14 +873,7 @@ int CmdReplay(const Args& args, std::ostream& out) {
       }
     }
     if (sink != nullptr) engine->set_sink(sink);
-    if (sharded != nullptr) {
-      // Contiguous engine -> shard placement (shard-monotone in attach
-      // order), so the global match stream keeps the serial attach order
-      // (DESIGN.md §10).
-      sharded->AttachToShard(i * shards / queries.size(), engine.get());
-    } else {
-      context->Attach(engine.get());
-    }
+    context->Attach(engine.get());
     engines.push_back(std::move(engine));
   }
 

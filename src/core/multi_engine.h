@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/tcm_engine.h"
 #include "exec/parallel_context.h"
 #include "query/query_graph.h"
@@ -48,17 +49,44 @@ class TaggedSink : public MatchSink {
   size_t index_;
 };
 
-class MultiQueryEngine : public ParallelStreamContext {
+/// The graph a bundle binds its engines to: an unsharded context's
+/// canonical graph. The sharded context's overload (shard/sharded_context.h)
+/// returns its ShardedGraphView; overload resolution picks the most
+/// derived context.
+inline const TemporalGraph& EngineGraph(const SharedStreamContext& context) {
+  return context.graph();
+}
+
+/// The multi-query bundle, written once over its context: one EngineT per
+/// query, each bound to EngineGraph(context) and reporting through a
+/// TaggedSink, attached in query order — so the global match stream is
+/// the serial attach order at any thread or shard count (DESIGN.md §6,
+/// §10). MultiQueryEngine and ShardedMultiQueryEngine
+/// (shard/sharded_engine.h) are its two instantiations.
+template <typename ContextT, typename EngineT>
+class BasicMultiQueryEngine : public ContextT {
  public:
-  /// One TCM engine per query, all views of the one shared graph; all
-  /// queries must share the schema's directedness. With `num_threads > 1`
-  /// the per-engine notification work of every event is sharded across
-  /// that many threads (including the driver thread); results are
-  /// byte-identical to the serial default, in the same order
-  /// (DESIGN.md §6).
-  MultiQueryEngine(const std::vector<QueryGraph>& queries,
-                   const GraphSchema& schema, TcmConfig config = {},
-                   size_t num_threads = 1);
+  /// All queries must share the schema's directedness. `context_args`
+  /// follow the schema into the context's constructor: `num_threads` for
+  /// MultiQueryEngine (default 1, the serial context; results are
+  /// byte-identical at any width), `num_shards, num_threads` for
+  /// ShardedMultiQueryEngine.
+  template <typename... ContextArgs>
+  BasicMultiQueryEngine(const std::vector<QueryGraph>& queries,
+                        const GraphSchema& schema, TcmConfig config = {},
+                        ContextArgs... context_args)
+      : ContextT(schema, context_args...) {
+    TCSM_CHECK(!queries.empty());
+    owned_.reserve(queries.size());
+    tagged_.reserve(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      owned_.push_back(
+          std::make_unique<EngineT>(queries[i], EngineGraph(*this), config));
+      tagged_.push_back(std::make_unique<TaggedSink>(&multi_sink_, i));
+      owned_.back()->set_sink(tagged_.back().get());
+      this->Attach(owned_.back().get());
+    }
+  }
 
   void set_multi_sink(MultiMatchSink* sink) { multi_sink_ = sink; }
 
@@ -66,15 +94,21 @@ class MultiQueryEngine : public ParallelStreamContext {
   const EngineCounters& QueryCounters(size_t query_index) const {
     return owned_[query_index]->counters();
   }
-  const TcmEngine& QueryEngine(size_t query_index) const {
+  const EngineT& QueryEngine(size_t query_index) const {
     return *owned_[query_index];
   }
 
  private:
-  std::vector<std::unique_ptr<TcmEngine>> owned_;
+  std::vector<std::unique_ptr<EngineT>> owned_;
   std::vector<std::unique_ptr<TaggedSink>> tagged_;
   MultiMatchSink* multi_sink_ = nullptr;
 };
+
+/// One TCM engine per query over the one shared graph; with
+/// `num_threads > 1` every event fans out across that many threads
+/// (including the driver thread).
+using MultiQueryEngine =
+    BasicMultiQueryEngine<ParallelStreamContext, TcmEngine>;
 
 }  // namespace tcsm
 

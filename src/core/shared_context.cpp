@@ -45,7 +45,7 @@ void SharedStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
   for (size_t i = 0; i < count; ++i) {
     const TemporalEdge applied = CaptureExpiry(edges[i]);
     NotifyExpiring(applied);
-    ApplyRemoval(applied.id);
+    ApplyRemoval(applied);
     NotifyRemoved(applied);
   }
 }

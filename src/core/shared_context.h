@@ -8,13 +8,15 @@
 //
 // Every event enters through the batch entry points — a single event is
 // a batch of one. The base batch loops hold the one serial copy of the
-// per-edge protocol and notify engines in attach order on the calling
-// thread through a protected virtual seam (NotifyInserted /
-// NotifyExpiring / NotifyRemoved) that instrumented subclasses wrap.
-// ParallelStreamContext (exec/parallel_context.h) and
-// ShardedStreamContext (shard/sharded_context.h) override the batch
-// entry points to run a batch as one pipelined pool job while the graph
-// mutations stay on the driver thread (DESIGN.md §6, §10).
+// per-edge protocol. Two protected virtual seams split it: the graph
+// mutations (ApplyArrival / CaptureExpiry / ApplyRemoval), which a
+// sharded context (shard/sharded_context.h) redirects to its partitioned
+// storage, and the engine notifications (NotifyInserted / NotifyExpiring
+// / NotifyRemoved), which instrumented subclasses wrap.
+// ParallelStreamContext (exec/parallel_context.h) overrides the batch
+// entry points to run a batch as one pipelined pool job, one lane per
+// engine, while the mutation hooks stay on the driver thread
+// (DESIGN.md §6, §10).
 #ifndef TCSM_CORE_SHARED_CONTEXT_H_
 #define TCSM_CORE_SHARED_CONTEXT_H_
 
@@ -42,10 +44,9 @@ class SharedStreamContext {
   const TemporalGraph& graph() const { return g_; }
 
   /// Registers an engine constructed against graph(). The engine must
-  /// outlive all subsequent event processing. Virtual so a sharded
-  /// context (src/shard/) can route the engine to a shard while still
-  /// recording it here for the aggregate accessors.
-  virtual void Attach(ContinuousEngine* engine);
+  /// outlive all subsequent event processing; it is notified in attach
+  /// order.
+  void Attach(ContinuousEngine* engine);
   const std::vector<ContinuousEngine*>& engines() const { return engines_; }
 
   /// Applies an arrival (edge ids must be the dense arrival indices
@@ -64,9 +65,8 @@ class SharedStreamContext {
   /// batch mutates anything. For an arrival: apply, then NotifyInserted.
   /// For an expiry: capture the live record, NotifyExpiring against the
   /// pre-deletion graph, remove, then NotifyRemoved. The base loops run
-  /// exactly that on the calling thread; the parallel and sharded
-  /// contexts override them to run the whole batch as one pipelined pool
-  /// job.
+  /// exactly that on the calling thread; the parallel context overrides
+  /// them to run the whole batch as one pipelined pool job.
   virtual void OnEdgeArrivalBatch(const TemporalEdge* edges, size_t count);
   virtual void OnEdgeExpiryBatch(const TemporalEdge* edges, size_t count);
 
@@ -114,16 +114,18 @@ class SharedStreamContext {
   virtual void NotifyExpiring(const TemporalEdge& ed);
   virtual void NotifyRemoved(const TemporalEdge& ed);
 
-  /// Graph-mutation halves of the per-edge protocol, exposed so batch
-  /// overrides can interleave mutations with their own fan-out while the
-  /// mutations themselves stay on the driver thread.
+  /// Graph-mutation halves of the per-edge protocol, always run on the
+  /// driver thread: the base loops call them between notifications and
+  /// the parallel pipeline from its settle hook. Virtual so a sharded
+  /// context can write its partitioned storage instead of graph().
   /// ApplyArrival inserts and returns the canonical record (valid until
   /// the next mutation); CaptureExpiry validates and copies the canonical
-  /// record of a live edge; ApplyRemoval removes it (the record stays
-  /// readable through the following NotifyRemoved, see TemporalGraph).
-  const TemporalEdge& ApplyArrival(const TemporalEdge& ed);
-  TemporalEdge CaptureExpiry(const TemporalEdge& ed) const;
-  void ApplyRemoval(EdgeId id) { g_.RemoveEdge(id); }
+  /// record of a live edge; ApplyRemoval removes that record's edge (the
+  /// record stays readable through the following NotifyRemoved, see
+  /// TemporalGraph).
+  virtual const TemporalEdge& ApplyArrival(const TemporalEdge& ed);
+  virtual TemporalEdge CaptureExpiry(const TemporalEdge& ed) const;
+  virtual void ApplyRemoval(const TemporalEdge& ed) { g_.RemoveEdge(ed.id); }
 
   /// Cached observability handles for subclass seams; null when the run
   /// carries no bundle (the default), in which case instrumented sites

@@ -88,7 +88,7 @@ void ParallelStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
             sinks_.DrainAll();
           }
           if (k % 2 == 0) {
-            ApplyRemoval(batch_scratch_[k / 2].id);
+            ApplyRemoval(batch_scratch_[k / 2]);
           } else if (k / 2 + 1 < count) {
             batch_scratch_.push_back(CaptureExpiry(edges[k / 2 + 1]));
           }

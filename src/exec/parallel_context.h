@@ -1,17 +1,23 @@
-// Sharded multi-query fan-out over the one shared sliding-window graph.
+// Engine-parallel fan-out over the one shared sliding-window graph.
 //
 // A ParallelStreamContext is a SharedStreamContext whose notification
 // fan-out runs on a worker pool instead of a loop. Every event — a
 // single one is a batch of one — runs as ONE pipelined pool job
-// (ThreadPool::PipelineFor): each edge's graph mutation is still applied
-// exactly once on the driver thread between pipeline steps (the
-// two-phase expiry protocol of DESIGN.md §3 is unchanged), and the
-// per-engine OnEdgeInserted / OnEdgeExpiring / OnEdgeRemoved work —
-// embarrassingly parallel because engines are read-only views of a const
-// graph — is claimed dynamically across the pool, one step per phase. In
-// particular the step fence between OnEdgeExpiring and the graph removal
-// guarantees every engine enumerated its dying embeddings against the
-// pre-deletion state before the edge disappears.
+// (ThreadPool::PipelineFor), one lane per attached engine. Each edge's
+// graph mutation is applied exactly once on the driver thread, through
+// the virtual mutation hooks, in the settle hook between pipeline steps
+// (the two-phase expiry protocol of DESIGN.md §3 is unchanged): one step
+// per arrival, two per expiry. The per-engine OnEdgeInserted /
+// OnEdgeExpiring / OnEdgeRemoved work — embarrassingly parallel because
+// engines are read-only views of a graph no one mutates during a step —
+// is claimed dynamically across the pool. In particular the step fence
+// between OnEdgeExpiring and the graph removal guarantees every engine
+// enumerated its dying embeddings against the pre-deletion state before
+// the edge disappears.
+//
+// This is the only parallel pipeline: the vertex-partitioned
+// ShardedStreamContext (shard/sharded_context.h) derives from it and
+// only redirects the mutation hooks to its shard graphs.
 //
 // Determinism: during a step each engine reports into a private
 // BufferedMatchSink interposed in front of the sink the caller installed;
@@ -34,7 +40,8 @@ namespace tcsm {
 
 class ParallelStreamContext : public SharedStreamContext {
  public:
-  ParallelStreamContext(const GraphSchema& schema, size_t num_threads);
+  explicit ParallelStreamContext(const GraphSchema& schema,
+                                 size_t num_threads = 1);
 
   /// Total parallelism of the notification phases, including the driver
   /// thread; 1 means the serial bypass.

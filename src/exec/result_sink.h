@@ -1,5 +1,5 @@
-// Per-engine result buffering for pooled notification steps. While a
-// parallel or sharded context fans an edge out across workers (one step
+// Per-engine result buffering for pooled notification steps. While the
+// parallel context fans an edge out across workers (one step
 // of a ThreadPool::PipelineFor job), every engine reports into its own
 // BufferedMatchSink — engine-private, so appends are lock-free by
 // construction (exactly one worker runs a given engine's notification per
@@ -74,8 +74,8 @@ class BufferedMatchSink : public MatchSink {
   size_t size_ = 0;
 };
 
-/// The buffered-sink protocol of the parallel and sharded contexts: buffer
-/// i sits in front of the sink the caller installed on engine i
+/// The buffered-sink protocol of the parallel context: buffer i sits in
+/// front of the sink the caller installed on engine i
 /// (SharedStreamContext::engines() order).
 class SinkBuffers {
  public:
@@ -85,11 +85,6 @@ class SinkBuffers {
   /// the engine then only counts, exactly as in serial execution.
   void Sync(const std::vector<ContinuousEngine*>& engines);
 
-  /// Forwards engine i's buffered records downstream (a no-op for an
-  /// engine no Sync has reached yet).
-  void Drain(size_t i) {
-    if (i < buffers_.size()) buffers_[i].Drain();
-  }
   /// Drains every buffer in attach order: the serial match order.
   void DrainAll() {
     for (BufferedMatchSink& buffer : buffers_) buffer.Drain();

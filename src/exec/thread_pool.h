@@ -1,5 +1,5 @@
 // Persistent worker pool for the parallel execution subsystem. One pool
-// is created per parallel or sharded context and reused across every
+// is created per parallel context (sharded too) and reused across every
 // stream event, so the per-event cost is publishing a job, not creating
 // threads. The only primitive is a blocking PipelineFor: a sequence of
 // fan-out steps, each spread over the workers plus the calling thread,

@@ -196,7 +196,6 @@ struct StageMetrics {
   Histogram* expiry_batch_ns = nullptr;
   Histogram* pipeline_step_ns = nullptr;
   Histogram* sink_drain_ns = nullptr;
-  Histogram* shard_lane_ns = nullptr;
   Histogram* engine_update_ns = nullptr;
   Histogram* engine_search_ns = nullptr;
 };

@@ -31,7 +31,6 @@ Observability::Observability() {
   stages_.pipeline_step_ns =
       registry_.AddHistogram("stage.pipeline_step_ns", bounds);
   stages_.sink_drain_ns = registry_.AddHistogram("stage.sink_drain_ns", bounds);
-  stages_.shard_lane_ns = registry_.AddHistogram("stage.shard_lane_ns", bounds);
   stages_.engine_update_ns =
       registry_.AddHistogram("stage.engine_update_ns", bounds);
   stages_.engine_search_ns =

@@ -12,8 +12,8 @@
 //               engine.search_nodes, engine.adj_scanned, engine.adj_matched
 //   histograms  stage.parse_ns, stage.arrival_batch_ns,
 //               stage.expiry_batch_ns, stage.pipeline_step_ns,
-//               stage.sink_drain_ns, stage.shard_lane_ns,
-//               stage.engine_update_ns, stage.engine_search_ns
+//               stage.sink_drain_ns, stage.engine_update_ns,
+//               stage.engine_search_ns
 //
 // io.ingest_records / io.ingest_bytes count records returned by and bytes
 // consumed from the StreamReader feeding a replay; stage.parse_ns times

@@ -4,9 +4,7 @@
 // live adjacency (cross-shard edges are mirrored to both endpoint
 // owners), publishes v's signature summary rows, and answers every
 // per-vertex read the ShardedGraphView routes. The interface is
-// deliberately tiny and deterministic — a later distributed deployment
-// swaps the in-process shard array for a transport without touching the
-// ownership rule.
+// deliberately tiny and deterministic.
 #ifndef TCSM_SHARD_PARTITIONER_H_
 #define TCSM_SHARD_PARTITIONER_H_
 

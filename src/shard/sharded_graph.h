@@ -5,9 +5,8 @@
 // which — by the mirroring invariant (an edge is stored by the owners of
 // BOTH endpoints) — holds the vertex's complete live adjacency in global
 // arrival order. Candidate pre-filtering goes through the published
-// ShardSummaries rows instead of a remote graph, so a distributed
-// deployment only has to put a transport behind Owner() routing and row
-// publication; the matching code is untouched.
+// ShardSummaries rows instead of a remote graph; the matching code is
+// untouched.
 //
 // Determinism: because an owner shard sees exactly the incident edges of
 // its vertices, in exactly the global event order, its buckets, bucket
@@ -81,7 +80,7 @@ class ShardedGraphView {
 
   /// Liveness of an edge whose record the caller already holds: route by
   /// an endpoint (the src owner always stores the edge). Mirrors are
-  /// removed in the same event step, so either endpoint answers alike.
+  /// removed by the same mutation hook, so either endpoint answers alike.
   bool AliveEdge(const TemporalEdge& e) const {
     return OwnerGraph(e.src).Alive(e.id);
   }

@@ -7,19 +7,17 @@
 // into a remote shard's graph, so the only cross-shard state a candidate
 // check ever needs is 24 bytes per vertex.
 //
-// This is the transport-rehearsal seam of the sharded design: in-process
-// the "exchange" is a struct copy ordered by the pipeline step fences; a
-// distributed deployment replaces Publish with a row broadcast and keeps
-// every reader unchanged. Because the published rows are bit-equal to
-// the owner graph's exact masks, the table inherits their guarantee:
+// Because the published rows are bit-equal to the owner graph's exact
+// masks, the table inherits their guarantee:
 // MayHaveMatching never returns false for a vertex that has a live
 // matching entry (no false negatives), so pruning on a "no" is always
 // safe and every engine verdict is identical to an unsharded run.
 //
-// Concurrency: single writer per row (the owner shard's lane) within a
-// mutation step; reads happen in later notification steps. The pipeline
-// fences of ThreadPool::PipelineFor order writer-then-readers, so the
-// fields are plain (non-atomic) by design — see sharded_context.cpp.
+// Concurrency: rows are written only by the context's mutation hooks, on
+// the driver thread between pipeline steps; engines read them during the
+// notification steps. The step fences of ThreadPool::PipelineFor order
+// writer-then-readers, so the fields are plain (non-atomic) by design —
+// see sharded_context.h.
 #ifndef TCSM_SHARD_SUMMARIES_H_
 #define TCSM_SHARD_SUMMARIES_H_
 
@@ -43,8 +41,8 @@ class ShardSummaries {
   bool directed() const { return directed_; }
 
   /// Re-publishes v's row from the owner shard's graph. Call after every
-  /// mutation of `owner_graph` that touched v; only v's owner lane may
-  /// call this for v (single-writer rule).
+  /// mutation of `owner_graph` that touched v, and only with v's owner
+  /// (the row must copy v's complete adjacency).
   void Publish(VertexId v, const TemporalGraph& owner_graph) {
     Row& row = rows_[v];
     row.any = owner_graph.VertexSigAny(v);

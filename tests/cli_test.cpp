@@ -84,8 +84,8 @@ TEST(Cli, FullPipelineRunAndSnapshot) {
   EXPECT_EQ(counts(par.str()), counts(run.str()));
 
   // --shards splits the data graph across vertex partitions. The header
-  // records the shard count (and the one-lane-per-shard default thread
-  // count), and the match counts are identical to the serial run — the
+  // records the shard count (and the default thread count, one per
+  // shard), and the match counts are identical to the serial run — the
   // sharded context's determinism guarantee.
   std::ostringstream shr;
   ASSERT_EQ(
@@ -198,6 +198,20 @@ TEST(Cli, GenTelAndReplay) {
       << shreplay.str();
   EXPECT_NE(shreplay.str().find("shards=2"), std::string::npos);
   EXPECT_EQ(matches(shreplay.str()), matches(run.str()));
+
+  // Sharded or not, the pool fans out engines, so one query cannot run
+  // faster on more threads: --shards=2 --threads=2 says so and, from run
+  // and from replay, reports the serial matches in the serial order.
+  const Args sharded_args{tel, query, "--print", "--shards=2", "--threads=2"};
+  for (const bool use_replay : {false, true}) {
+    SCOPED_TRACE(use_replay ? "replay" : "run");
+    std::ostringstream o;
+    ASSERT_EQ(use_replay ? CmdReplay(sharded_args, o) : CmdRun(sharded_args, o),
+              0)
+        << o.str();
+    EXPECT_NE(o.str().find("cannot speed up one engine"), std::string::npos);
+    EXPECT_EQ(matches(o.str()), matches(run.str()));
+  }
 
   // Several query files fan out across threads; summary is per query.
   std::ostringstream multi;

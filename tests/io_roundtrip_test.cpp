@@ -23,7 +23,7 @@
 #include "io/stream_writer.h"
 #include "query/query_io.h"
 #include "querygen/query_generator.h"
-#include "shard/sharded_multi_engine.h"
+#include "shard/sharded_engine.h"
 #include "testlib/fuzz_scenarios.h"
 #include "testlib/running_example.h"
 
@@ -245,8 +245,8 @@ TEST_P(IoRoundTrip, ShardedBinaryReplayMatchesSerial) {
       StreamReader reader(in, GetParam().name + ".tel");
       ASSERT_TRUE(reader.Init().ok());
       TaggedStreams sharded(queries_.size());
-      ShardedMultiQueryEngine engine(queries_, reader.schema(), shards,
-                                     TcmConfig{}, threads);
+      ShardedMultiQueryEngine engine(queries_, reader.schema(), TcmConfig{},
+                                     shards, threads);
       engine.set_multi_sink(&sharded);
       auto res = ReplayStream(&reader, ReplayOptions{}, &engine);
       ASSERT_TRUE(res.ok()) << res.status().ToString();

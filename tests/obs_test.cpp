@@ -241,7 +241,7 @@ TEST(TraceWriterTest, SpansFromPoolThreadsGetDistinctNamedTracks) {
       1, 64,
       [&](size_t, size_t i) {
         const uint64_t start = trace.NowNs();
-        trace.Emit("lane_notify", "shard", start, 100, "shard", i % 4);
+        trace.Emit("engine_call", "test", start, 100, "lane", i % 4);
       },
       [](size_t) {});
   EXPECT_EQ(trace.NumSpans(), 64u);
@@ -254,7 +254,7 @@ TEST(TraceWriterTest, SpansFromPoolThreadsGetDistinctNamedTracks) {
   // 4-wide pool at least two distinct tracks must have participated.
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"shard\":"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"lane\":"), std::string::npos);
 }
 
 TEST(TraceWriterTest, ToNsClampsBelowEpoch) {
@@ -280,7 +280,6 @@ TEST(ObservabilityTest, RegistersFullTaxonomyAndFreezes) {
   EXPECT_NE(stages.expiry_batch_ns, nullptr);
   EXPECT_NE(stages.pipeline_step_ns, nullptr);
   EXPECT_NE(stages.sink_drain_ns, nullptr);
-  EXPECT_NE(stages.shard_lane_ns, nullptr);
   EXPECT_NE(stages.engine_update_ns, nullptr);
   EXPECT_NE(stages.engine_search_ns, nullptr);
   EXPECT_TRUE(obs.registry().frozen());

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -27,7 +28,8 @@
 #include "datasets/synthetic.h"
 #include "obs/observability.h"
 #include "querygen/query_generator.h"
-#include "shard/sharded_multi_engine.h"
+#include "shard/sharded_context.h"
+#include "shard/sharded_engine.h"
 #include "testlib/fuzz_scenarios.h"
 #include "testlib/stream_checker.h"
 
@@ -341,10 +343,13 @@ TEST_P(StreamFuzz, ParallelMatchesSerialMultiQuery) {
 // partitioned ShardedStreamContext at 2, 4, and 8 shards, each at 1 and
 // 4 threads, must emit exactly the serial MultiQueryEngine's match
 // stream — per query AND globally, byte-identical including order (the
-// shard-then-attach deterministic merge with contiguous engine placement
-// of DESIGN.md §10). Scan counters must match too: mirrored owner
+// attach-order merge of DESIGN.md §6, which the sharded context runs
+// unchanged, §10). Scan counters must match too: mirrored owner
 // adjacency makes every engine read — candidate scans included —
 // identical to the unsharded run, not merely the final embedding sets.
+// Engines are not bound to shards, so the global order must not depend
+// on how they are attached: plain Attach over 2 shards and descending
+// AttachToShard over 4 keep the serial global order as well.
 TEST_P(StreamFuzz, ShardedMatchesSerial) {
   std::vector<QueryGraph> queries{query_};
   for (uint64_t k = 1; k <= 3; ++k) {
@@ -392,7 +397,7 @@ TEST_P(StreamFuzz, ShardedMatchesSerial) {
       SCOPED_TRACE("shards " + std::to_string(shards) + " threads " +
                    std::to_string(threads));
       TaggedStreams sharded(queries.size());
-      ShardedMultiQueryEngine engine(queries, schema_, shards, TcmConfig{},
+      ShardedMultiQueryEngine engine(queries, schema_, TcmConfig{}, shards,
                                      threads);
       engine.set_multi_sink(&sharded);
       const StreamResult res = RunStream(dataset_, config, &engine);
@@ -410,6 +415,39 @@ TEST_P(StreamFuzz, ShardedMatchesSerial) {
             << " diverged from serial execution";
       }
       EXPECT_EQ(sharded.global, serial.global)
+          << "global match interleaving diverged from serial execution";
+    }
+  }
+
+  struct Placement {
+    const char* name;
+    size_t shards;
+    bool descending;  // AttachToShard(shards - 1 - i), else plain Attach
+  };
+  for (const Placement placement :
+       {Placement{"attach", 2, false}, Placement{"descending", 4, true}}) {
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(placement.name) + " threads " +
+                   std::to_string(threads));
+      TaggedStreams placed(queries.size());
+      MultiMatchSink* slot = &placed;
+      ShardedStreamContext context(schema_, placement.shards, threads);
+      std::vector<std::unique_ptr<ShardedTcmEngine>> engines;
+      std::vector<std::unique_ptr<TaggedSink>> sinks;
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        engines.push_back(
+            std::make_unique<ShardedTcmEngine>(queries[qi], context.view()));
+        sinks.push_back(std::make_unique<TaggedSink>(&slot, qi));
+        engines.back()->set_sink(sinks.back().get());
+        if (placement.descending) {
+          context.AttachToShard(placement.shards - 1 - qi % placement.shards,
+                                engines.back().get());
+        } else {
+          context.Attach(engines.back().get());
+        }
+      }
+      ASSERT_TRUE(RunStream(dataset_, config, &context).completed);
+      EXPECT_EQ(placed.global, serial.global)
           << "global match interleaving diverged from serial execution";
     }
   }
@@ -554,7 +592,7 @@ TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
     StreamConfig config = plain;
     config.obs = &obs;
     TaggedStreams run(queries.size());
-    ShardedMultiQueryEngine engine(queries, schema_, shards, TcmConfig{},
+    ShardedMultiQueryEngine engine(queries, schema_, TcmConfig{}, shards,
                                    /*num_threads=*/4);
     engine.set_multi_sink(&run);
     const StreamResult res = RunStream(dataset_, config, &engine);

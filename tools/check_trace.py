@@ -154,8 +154,8 @@ GOOD_TRACE = json.dumps({
          "tid": 0, "ts": 10.0, "dur": 20.0},
         {"name": "drain", "cat": "pipeline", "ph": "X", "pid": 1,
          "tid": 0, "ts": 30.0, "dur": 5.0},
-        {"name": "lane_notify", "cat": "shard", "ph": "X", "pid": 1,
-         "tid": 1, "ts": 12.0, "dur": 15.0, "args": {"shard": 1}},
+        {"name": "engine_call", "cat": "test", "ph": "X", "pid": 1,
+         "tid": 1, "ts": 12.0, "dur": 15.0, "args": {"lane": 1}},
     ]
 })
 
