@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <thread>
 
@@ -10,6 +11,7 @@
 #include "baselines/post_filter_engine.h"
 #include "baselines/timing_engine.h"
 #include "common/logging.h"
+#include "common/numbers.h"
 #include "core/tcm_engine.h"
 #include "datasets/presets.h"
 
@@ -201,31 +203,50 @@ Timestamp EffectiveWindow(const TemporalDataset& dataset, Timestamp units) {
 }
 
 BenchArgs ParseBenchArgs(int argc, char** argv) {
+  const std::string usage =
+      std::string("usage: ") + (argc > 0 ? argv[0] : "bench") +
+      " [--datasets=name,...] [--queries=N] [--limit_ms=T] [--scale=S]"
+      " [--seed=K] [--from=DIR]\n";
+  const auto fail = [&usage](const std::string& why) {
+    std::fprintf(stderr, "error: %s\n%s", why.c_str(), usage.c_str());
+    std::exit(2);
+  };
   BenchArgs args;
   args.datasets = PresetNames();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value_of = [&](const char* prefix) -> const char* {
-      const size_t len = std::strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(usage.c_str(), stdout);
+      std::exit(0);
+    }
+    const size_t eq = arg.find('=');
+    if (eq == std::string::npos) fail("unknown argument '" + arg + "'");
+    const std::string name = arg.substr(0, eq);
+    const std::string value = arg.substr(eq + 1);
+    const auto number = [&](auto* out, const char* what) {
+      if (!ParseNumber(value, out)) {
+        fail(name + " expects " + what + ", got '" + value + "'");
+      }
     };
-    if (const char* v = value_of("--datasets=")) {
+    if (name == "--datasets") {
       args.datasets.clear();
-      std::istringstream ss(v);
+      std::istringstream ss(value);
       std::string item;
       while (std::getline(ss, item, ',')) {
         if (!item.empty()) args.datasets.push_back(item);
       }
-    } else if (const char* v = value_of("--queries=")) {
-      args.queries_per_set = static_cast<size_t>(std::stoul(v));
-    } else if (const char* v = value_of("--limit_ms=")) {
-      args.time_limit_ms = std::stod(v);
-    } else if (const char* v = value_of("--scale=")) {
-      args.scale = std::stod(v);
-    } else if (const char* v = value_of("--seed=")) {
-      args.seed = std::stoull(v);
-    } else if (const char* v = value_of("--from=")) {
-      args.from_dir = v;
+    } else if (name == "--queries") {
+      number(&args.queries_per_set, "a non-negative integer");
+    } else if (name == "--limit_ms") {
+      number(&args.time_limit_ms, "a number");
+    } else if (name == "--scale") {
+      number(&args.scale, "a number");
+    } else if (name == "--seed") {
+      number(&args.seed, "a non-negative integer");
+    } else if (name == "--from") {
+      args.from_dir = value;
+    } else {
+      fail("unknown flag '" + name + "'");
     }
   }
   return args;

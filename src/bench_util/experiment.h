@@ -88,6 +88,10 @@ struct BenchArgs {
   std::string from_dir;
 };
 
+/// --help/-h prints usage to stdout and exits 0; an unknown argument or
+/// a value that is not wholly a number of its flag's type (--scale=0.5x)
+/// prints the error and usage to stderr and exits 2. Benches call this
+/// first, so neither case builds a dataset.
 BenchArgs ParseBenchArgs(int argc, char** argv);
 
 }  // namespace tcsm

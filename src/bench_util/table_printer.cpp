@@ -2,7 +2,6 @@
 
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 namespace tcsm {
 
@@ -38,12 +37,6 @@ void TablePrinter::Print(std::ostream& os) const {
   }
   os << rule << "\n";
   for (const auto& row : rows_) print_row(row);
-}
-
-std::string FormatDouble(double value, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
 }
 
 std::string FormatMegabytes(size_t bytes) {

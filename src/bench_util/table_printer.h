@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/numbers.h"  // FormatDouble
+
 namespace tcsm {
 
 class TablePrinter {
@@ -22,7 +24,6 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-std::string FormatDouble(double value, int precision = 2);
 std::string FormatMegabytes(size_t bytes);
 
 }  // namespace tcsm

@@ -7,11 +7,13 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "baselines/local_enum_engine.h"
 #include "baselines/post_filter_engine.h"
 #include "baselines/timing_engine.h"
 #include "bench_util/table_printer.h"
+#include "common/numbers.h"
 #include "core/automorphism.h"
 #include "core/snapshot.h"
 #include "core/stream_driver.h"
@@ -32,6 +34,11 @@
 
 namespace tcsm::cli {
 namespace {
+
+/// A malformed flag value; Main turns it into a usage error (exit 2).
+struct FlagError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
 
 /// Tiny flag parser: positional arguments plus --key=value / --switch.
 class FlagSet {
@@ -59,16 +66,28 @@ class FlagSet {
     auto it = flags_.find(name);
     return it == flags_.end() ? dflt : it->second;
   }
+  /// Numeric getters: the whole value must parse, else FlagError, which
+  /// Main reports as "error: --<name> expects ..." with exit 2.
   double GetDouble(const std::string& name, double dflt) const {
-    auto it = flags_.find(name);
-    return it == flags_.end() ? dflt : std::stod(it->second);
+    return GetNumber(name, dflt, "a number");
   }
   int64_t GetInt(const std::string& name, int64_t dflt) const {
-    auto it = flags_.find(name);
-    return it == flags_.end() ? dflt : std::stoll(it->second);
+    return GetNumber(name, dflt, "an integer");
   }
 
  private:
+  template <typename T>
+  T GetNumber(const std::string& name, T dflt, const char* what) const {
+    auto it = flags_.find(name);
+    if (it == flags_.end()) return dflt;
+    T value = dflt;
+    if (!ParseNumber(it->second, &value)) {
+      throw FlagError("--" + name + " expects " + what + ", got '" +
+                      it->second + "'");
+    }
+    return value;
+  }
+
   std::vector<std::string> positional_;
   std::map<std::string, std::string> flags_;
 };
@@ -266,6 +285,12 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+/// Engine phase time (EngineCounters::update_ns / search_ns) as the
+/// milliseconds the result lines and --json print.
+std::string NsToMs(uint64_t ns) {
+  return FormatDouble(static_cast<double>(ns) / 1e6, 3);
+}
+
 void PrintStreamResult(const std::string& engine_name,
                        const StreamResult& res, std::ostream& out) {
   out << "engine=" << engine_name << " threads=" << res.num_threads
@@ -276,6 +301,8 @@ void PrintStreamResult(const std::string& engine_name,
       << " peak_at=" << res.peak_memory_event_index
       << " adj_scanned=" << res.adj_entries_scanned
       << " adj_matched=" << res.adj_entries_matched
+      << " update_ms=" << NsToMs(res.update_ns)
+      << " search_ms=" << NsToMs(res.search_ns)
       << (res.completed ? "" : " (INCOMPLETE: limit hit)") << "\n";
 }
 
@@ -423,24 +450,6 @@ bool ResolveTelFormatFlags(const FlagSet& flags, bool default_binary,
     opts->block_records = static_cast<size_t>(n);
   }
   return true;
-}
-
-/// The "stages" object of the replay --json line: per-stage count and
-/// latency quantiles from the registry snapshot.
-std::string StagesJson(const MetricsSnapshot& snap) {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (const StageSummaryRow& r : SummarizeStages(snap)) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << r.stage << "\":{\"count\":" << r.count
-       << ",\"p50_us\":" << FormatDouble(r.p50_us, 3)
-       << ",\"p99_us\":" << FormatDouble(r.p99_us, 3)
-       << ",\"total_ms\":" << FormatDouble(r.total_ms, 3) << "}";
-  }
-  os << "}";
-  return os.str();
 }
 
 }  // namespace
@@ -977,9 +986,11 @@ int CmdReplay(const Args& args, std::ostream& out) {
         << ",\"peak_event_index\":" << r.peak_memory_event_index
         << ",\"adj_scanned\":" << r.adj_entries_scanned
         << ",\"adj_matched\":" << r.adj_entries_matched
+        << ",\"update_ms\":" << NsToMs(r.update_ns)
+        << ",\"search_ms\":" << NsToMs(r.search_ns)
         << ",\"completed\":" << (r.completed ? "true" : "false");
     if (obs.obs != nullptr) {
-      out << ",\"stages\":" << StagesJson(obs.obs->Snapshot());
+      out << ",\"stages\":" << StagesJson(SummarizeStages(obs.obs->Snapshot()));
     }
     out << ",\"queries\":[";
     for (size_t i = 0; i < engines.size(); ++i) {
@@ -987,6 +998,8 @@ int CmdReplay(const Args& args, std::ostream& out) {
       out << (i == 0 ? "" : ",") << "{\"file\":\""
           << JsonEscape(query_paths[i]) << "\",\"occurred\":" << c.occurred
           << ",\"expired\":" << c.expired
+          << ",\"update_ms\":" << NsToMs(c.update_ns)
+          << ",\"search_ms\":" << NsToMs(c.search_ns)
           << ",\"gaps\":" << queries[i].gaps().size()
           << ",\"absence\":" << queries[i].absences().size() << "}";
     }
@@ -998,6 +1011,8 @@ int CmdReplay(const Args& args, std::ostream& out) {
         const EngineCounters& c = engines[i]->counters();
         out << "  q" << i << " " << query_paths[i]
             << " occurred=" << c.occurred << " expired=" << c.expired
+            << " update_ms=" << NsToMs(c.update_ns)
+            << " search_ms=" << NsToMs(c.search_ns)
             << " gaps=" << queries[i].gaps().size()
             << " absence=" << queries[i].absences().size() << "\n";
       }
@@ -1056,14 +1071,19 @@ int Main(int argc, char** argv, std::ostream& out, std::ostream& err) {
   const std::string cmd = argv[1];
   Args rest;
   for (int i = 2; i < argc; ++i) rest.emplace_back(argv[i]);
-  if (cmd == "stats") return CmdStats(rest, out);
-  if (cmd == "gen") return CmdGen(rest, out);
-  if (cmd == "convert") return CmdConvert(rest, out);
-  if (cmd == "gen-data") return CmdGenData(rest, out);
-  if (cmd == "gen-query") return CmdGenQuery(rest, out);
-  if (cmd == "run") return CmdRun(rest, out);
-  if (cmd == "replay") return CmdReplay(rest, out);
-  if (cmd == "snapshot") return CmdSnapshot(rest, out);
+  try {
+    if (cmd == "stats") return CmdStats(rest, out);
+    if (cmd == "gen") return CmdGen(rest, out);
+    if (cmd == "convert") return CmdConvert(rest, out);
+    if (cmd == "gen-data") return CmdGenData(rest, out);
+    if (cmd == "gen-query") return CmdGenQuery(rest, out);
+    if (cmd == "run") return CmdRun(rest, out);
+    if (cmd == "replay") return CmdReplay(rest, out);
+    if (cmd == "snapshot") return CmdSnapshot(rest, out);
+  } catch (const FlagError& e) {
+    out << "error: " << e.what() << "\n";
+    return 2;
+  }
   return usage();
 }
 

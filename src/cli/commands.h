@@ -7,6 +7,10 @@
 // `.tel` streams (detected by their header; directedness and vertex
 // labels come from the file) or legacy SNAP-style edge lists (directed
 // via --directed, labels via --labels=<file>).
+//
+// A numeric flag must parse in full: `--vertices=12abc` makes the
+// command throw std::invalid_argument, which Main reports as
+// `error: --vertices expects an integer, got '12abc'` with exit 2.
 #ifndef TCSM_CLI_COMMANDS_H_
 #define TCSM_CLI_COMMANDS_H_
 

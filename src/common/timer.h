@@ -1,4 +1,5 @@
-// Wall-clock stopwatch and soft deadlines for per-query time limits.
+// Wall-clock durations, stopwatch and soft deadlines for per-query time
+// limits.
 #ifndef TCSM_COMMON_TIMER_H_
 #define TCSM_COMMON_TIMER_H_
 
@@ -7,6 +8,20 @@
 #include <cstdint>
 
 namespace tcsm {
+
+/// Nanoseconds from `start` to `end` (default: now), 0 if `end` comes
+/// first: the one conversion behind the engines' phase counters, the
+/// stage histograms and the trace spans.
+inline uint64_t DurationNs(
+    std::chrono::steady_clock::time_point start,
+    std::chrono::steady_clock::time_point end =
+        std::chrono::steady_clock::now()) {
+  return end < start ? 0
+                     : static_cast<uint64_t>(
+                           std::chrono::duration_cast<std::chrono::nanoseconds>(
+                               end - start)
+                               .count());
+}
 
 class StopWatch {
  public:

@@ -21,7 +21,6 @@
 #include "common/types.h"
 #include "core/embedding.h"
 #include "graph/temporal_edge.h"
-#include "obs/metrics.h"
 #include "query/query_graph.h"
 
 namespace tcsm {
@@ -83,7 +82,9 @@ struct EngineCounters {
   uint64_t expired = 0;
   uint64_t search_nodes = 0;
   /// Wall-clock nanoseconds spent in index maintenance (filter + DCS)
-  /// vs. backtracking. Only the TCM engine fills these.
+  /// vs. backtracking, Algorithm 1's two phases: the one record of engine
+  /// time. Only the TCM engine fills these, with or without metrics; the
+  /// driver reports a run's deltas in StreamResult and the engine.* gauges.
   uint64_t update_ns = 0;
   uint64_t search_ns = 0;
   /// Scan-selectivity counters for the label-partitioned adjacency:
@@ -136,18 +137,7 @@ class ContinuousEngine {
   void set_deadline(Deadline* deadline) { deadline_ = deadline; }
   const EngineCounters& counters() const { return counters_; }
 
-  /// Observability hook, installed by the owning SharedStreamContext when
-  /// a run carries an Observability bundle. Null (the default) keeps the
-  /// engine's hot phases free of any metrics work; engines that time
-  /// their phases (TcmEngine) feed stage_metrics_->engine_*_ns alongside
-  /// the EngineCounters nanosecond totals.
-  void set_stage_metrics(const StageMetrics* stages) {
-    stage_metrics_ = stages;
-  }
-
  protected:
-  const StageMetrics* stage_metrics_ = nullptr;
-
   /// Routes every match report. Without absence predicates this is the
   /// direct emission path (one pointer test); with them, occurred reports
   /// are deferred and expired reports resolve the pending state

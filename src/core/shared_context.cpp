@@ -16,7 +16,6 @@ SharedStreamContext::SharedStreamContext(const GraphSchema& schema)
 void SharedStreamContext::Attach(ContinuousEngine* engine) {
   TCSM_CHECK(engine != nullptr);
   engine->set_deadline(deadline_);
-  engine->set_stage_metrics(stages_);
   engines_.push_back(engine);
 }
 
@@ -86,9 +85,6 @@ void SharedStreamContext::set_observability(Observability* obs) {
   obs_ = obs;
   stages_ = obs != nullptr ? &obs->stages() : nullptr;
   trace_ = obs != nullptr ? obs->trace() : nullptr;
-  for (ContinuousEngine* engine : engines_) {
-    engine->set_stage_metrics(stages_);
-  }
 }
 
 EngineCounters SharedStreamContext::AggregateCounters() const {

@@ -31,6 +31,7 @@ namespace tcsm {
 
 class Observability;
 class TraceWriter;
+struct StageMetrics;
 
 class SharedStreamContext {
  public:
@@ -83,9 +84,9 @@ class SharedStreamContext {
 
   /// Installs (or clears, with null) the run's observability bundle:
   /// caches the stage-metric handles and the optional trace writer for
-  /// the context's own instrumented seams and propagates the stage
-  /// metrics to every attached engine (including engines attached
-  /// later). The drivers call this once before the first event.
+  /// the context's own driver-thread seams. Engines are not told: their
+  /// phase times stay in EngineCounters (AggregateCounters below). The
+  /// driver calls this once before the first event.
   void set_observability(Observability* obs);
   Observability* observability() const { return obs_; }
 

@@ -65,10 +65,9 @@ StreamResult DriveStream(Source& source, const StreamConfig& config,
   Deadline deadline(config.time_limit_ms);
   context->set_deadline(config.time_limit_ms > 0 ? &deadline : nullptr);
 
-  // Observability: install the bundle on the context (which fans the
-  // stage-metric handles out to the engines) and cache the handles the
-  // driver's own sites use. All of `stages`/`trace` stay null when
-  // metrics are off, so each site below is one pointer test.
+  // Observability: install the bundle on the context and cache the
+  // handles the driver's own sites use. All of `stages`/`trace` stay null
+  // when metrics are off, so each site below is one pointer test.
   context->set_observability(config.obs);
   const StageMetrics* const stages =
       config.obs != nullptr ? &config.obs->stages() : nullptr;
@@ -238,33 +237,33 @@ StreamResult DriveStream(Source& source, const StreamConfig& config,
   peak.Observe(context->EstimateMemoryBytes(), result.events);
 
   result.elapsed_ms = watch.ElapsedMs();
-  const EngineCounters now = context->AggregateCounters();
-  result.occurred = now.occurred - base.occurred;
-  result.expired = now.expired - base.expired;
-  result.adj_entries_scanned =
-      now.adj_entries_scanned - base.adj_entries_scanned;
-  result.adj_entries_matched =
-      now.adj_entries_matched - base.adj_entries_matched;
+  // This run's engine work: the counter deltas since its first event.
+  EngineCounters run = context->AggregateCounters();
+  run.occurred -= base.occurred;
+  run.expired -= base.expired;
+  run.search_nodes -= base.search_nodes;
+  run.update_ns -= base.update_ns;
+  run.search_ns -= base.search_ns;
+  run.adj_entries_scanned -= base.adj_entries_scanned;
+  run.adj_entries_matched -= base.adj_entries_matched;
+  result.occurred = run.occurred;
+  result.expired = run.expired;
+  result.adj_entries_scanned = run.adj_entries_scanned;
+  result.adj_entries_matched = run.adj_entries_matched;
+  result.update_ns = run.update_ns;
+  result.search_ns = run.search_ns;
   result.peak_memory_bytes = peak.peak_bytes();
   result.peak_memory_event_index = peak.peak_event_index();
   result.num_threads = context->num_threads();
   result.num_shards = context->num_shards();
-  if (config.obs != nullptr) {
-    // Publish this run's deltas so a registry snapshot, --json, and
-    // BENCH JSON all read one source of truth.
-    EngineCounters delta;
-    delta.occurred = result.occurred;
-    delta.expired = result.expired;
-    delta.search_nodes = now.search_nodes - base.search_nodes;
-    delta.adj_entries_scanned = result.adj_entries_scanned;
-    delta.adj_entries_matched = result.adj_entries_matched;
-    config.obs->PublishEngineCounters(delta);
-    if (stages != nullptr) {
-      stages->peak_bytes->Set(static_cast<int64_t>(result.peak_memory_bytes));
-      stages->peak_event_index->Set(
-          static_cast<int64_t>(result.peak_memory_event_index));
-      stages->live_edges->Set(static_cast<int64_t>(live.size()));
-    }
+  if (stages != nullptr) {
+    // Publish the deltas so a registry snapshot, --json, and BENCH JSON
+    // all read one source of truth.
+    config.obs->PublishEngineCounters(run);
+    stages->peak_bytes->Set(static_cast<int64_t>(result.peak_memory_bytes));
+    stages->peak_event_index->Set(
+        static_cast<int64_t>(result.peak_memory_event_index));
+    stages->live_edges->Set(static_cast<int64_t>(live.size()));
   }
   return result;
 }

@@ -94,6 +94,11 @@ struct StreamResult {
   /// work the label-partitioned storage avoids.
   uint64_t adj_entries_scanned = 0;
   uint64_t adj_entries_matched = 0;
+  /// This run's engine time summed over engines (EngineCounters deltas):
+  /// filter + DCS upkeep, and backtracking. Pool workers overlap, so the
+  /// sums can exceed elapsed_ms.
+  uint64_t update_ns = 0;
+  uint64_t search_ns = 0;
   /// Fan-out width of the context that was driven (1 for serial contexts,
   /// the pool width for a ParallelStreamContext) — recorded so bench/CLI
   /// output always states how a measurement was produced.

@@ -10,32 +10,21 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
+#include "common/timer.h"
 
 namespace tcsm {
 namespace tcm_internal {
 
-/// Accumulates elapsed nanoseconds into a counter on scope exit, and —
-/// when the run carries an observability bundle — observes the same
-/// duration into the matching stage histogram, so the EngineCounters
-/// totals and the registry's latency distribution come from one clock
-/// read (DESIGN.md §11).
+/// Accumulates elapsed nanoseconds into an EngineCounters field on scope
+/// exit — the engine's only timing mechanism (DESIGN.md §11).
 class ScopedNs {
  public:
-  explicit ScopedNs(uint64_t* sink, Histogram* hist = nullptr)
-      : sink_(sink), hist_(hist), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedNs() {
-    const uint64_t ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-    *sink_ += ns;
-    if (hist_ != nullptr) hist_->Observe(ns);
-  }
+  explicit ScopedNs(uint64_t* sink)
+      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
+  ~ScopedNs() { *sink_ += DurationNs(start_); }
 
  private:
   uint64_t* sink_;
-  Histogram* hist_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -136,9 +125,7 @@ void BasicTcmEngine<GraphT>::OnEdgeRemoved(const TemporalEdge& ed) {
 template <typename GraphT>
 void BasicTcmEngine<GraphT>::UpdateStructures(const TemporalEdge& ed,
                                               bool inserting) {
-  const tcm_internal::ScopedNs timer(
-      &counters_.update_ns,
-      stage_metrics_ != nullptr ? stage_metrics_->engine_update_ns : nullptr);
+  const tcm_internal::ScopedNs timer(&counters_.update_ns);
   touched_q_.clear();
   touched_r_.clear();
   if (config_.use_tc_filter) {
@@ -247,9 +234,7 @@ void BasicTcmEngine<GraphT>::UpdateStructures(const TemporalEdge& ed,
 template <typename GraphT>
 void BasicTcmEngine<GraphT>::FindMatches(const TemporalEdge& ed,
                                          MatchKind kind) {
-  const tcm_internal::ScopedNs timer(
-      &counters_.search_ns,
-      stage_metrics_ != nullptr ? stage_metrics_->engine_search_ns : nullptr);
+  const tcm_internal::ScopedNs timer(&counters_.search_ns);
   kind_ = kind;
   timed_out_ = false;
   mapped_vertices_ = 0;

@@ -41,8 +41,8 @@ class ReaderSource {
 StatusOr<StreamResult> ReplayStream(StreamReader* reader,
                                     const ReplayOptions& options,
                                     SharedStreamContext* context) {
-  reader->set_stage_metrics(options.obs != nullptr ? &options.obs->stages()
-                                                   : nullptr);
+  reader->set_metrics(options.obs != nullptr ? &options.obs->stages()
+                                             : nullptr);
   ReaderSource source(reader);
   StreamResult result = DriveStream(source, options, context);
   if (!result.error.ok()) return result.error;

@@ -5,6 +5,7 @@
 #include <istream>
 #include <sstream>
 
+#include "common/timer.h"
 #include "graph/graph_io.h"
 #include "io/tel_binary.h"
 #include "obs/metrics.h"
@@ -197,7 +198,7 @@ GraphSchema StreamReader::schema() const {
   return GraphSchema{header_.directed, vertex_labels_};
 }
 
-void StreamReader::set_stage_metrics(const StageMetrics* stages) {
+void StreamReader::set_metrics(const StageMetrics* stages) {
   stages_ = stages;
   if (binary_ != nullptr) {
     binary_->set_parse_histogram(stages != nullptr ? stages->parse_ns
@@ -245,16 +246,13 @@ Status StreamReader::Next(StreamRecord* record, bool* done) {
     return s;
   }
   // Text framing: per-record parse latency (the binary reader observes
-  // per block load instead — see set_stage_metrics).
+  // per block load instead — see set_metrics).
   const bool timed = stages_ != nullptr && stages_->parse_ns != nullptr;
   const auto start = timed ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point();
   const Status s = NextText(record, done);
   if (timed) {
-    stages_->parse_ns->Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
+    stages_->parse_ns->Observe(DurationNs(start));
   }
   if (s.ok() && stages_ != nullptr) FlushIngestMetrics(*done ? 0 : 1);
   return s;

@@ -86,7 +86,7 @@ class StreamReader {
   /// and the stage.parse_ns histogram (per record for text, per block
   /// load for binary). Bytes consumed before the call (the header) are
   /// credited on the first Next().
-  void set_stage_metrics(const StageMetrics* stages);
+  void set_metrics(const StageMetrics* stages);
 
   /// 1-based line number of the last line consumed (text framing; 0 for
   /// binary, whose diagnostics carry byte offsets instead).

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/logging.h"
+#include "common/timer.h"
 #include "obs/metrics.h"
 
 namespace tcsm {
@@ -399,10 +400,7 @@ Status BinaryTelReader::LoadNextBlock(bool* end) {
   block_last_ts_ = last_ts;
   prev_ts_ = first_ts;
   if (parse_ns_ != nullptr) {
-    parse_ns_->Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
+    parse_ns_->Observe(DurationNs(start));
   }
   return Status::Ok();
 }

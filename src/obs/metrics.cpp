@@ -7,17 +7,8 @@
 
 namespace tcsm {
 
-size_t ThisThreadMetricStripe() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t stripe =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricStripes;
-  return stripe;
-}
-
 Histogram::Histogram(std::vector<uint64_t> bounds)
-    : bounds_(std::move(bounds)),
-      stride_(bounds_.size() + 3),  // buckets + overflow + count + sum
-      cells_(stride_ * kMetricStripes) {
+    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
   TCSM_CHECK(!bounds_.empty());
   TCSM_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()));
 }
@@ -26,40 +17,9 @@ void Histogram::Observe(uint64_t v) {
   // First bound >= v; past-the-end selects the overflow bucket.
   const size_t bucket =
       std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin();
-  const size_t stripe = ThisThreadMetricStripe();
-  const size_t base = stripe * stride_;
-  cells_[base + bucket].value.fetch_add(1, std::memory_order_relaxed);
-  cells_[base + bounds_.size() + 1].value.fetch_add(1,
-                                                    std::memory_order_relaxed);
-  cells_[base + bounds_.size() + 2].value.fetch_add(v,
-                                                    std::memory_order_relaxed);
-}
-
-uint64_t Histogram::BucketCount(size_t bucket) const {
-  TCSM_DCHECK(bucket < num_buckets());
-  uint64_t total = 0;
-  for (size_t s = 0; s < kMetricStripes; ++s) {
-    total += cells_[CellIndex(s, bucket)].value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t Histogram::TotalCount() const {
-  uint64_t total = 0;
-  for (size_t s = 0; s < kMetricStripes; ++s) {
-    total += cells_[CellIndex(s, bounds_.size() + 1)].value.load(
-        std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t Histogram::TotalSum() const {
-  uint64_t total = 0;
-  for (size_t s = 0; s < kMetricStripes; ++s) {
-    total += cells_[CellIndex(s, bounds_.size() + 2)].value.load(
-        std::memory_order_relaxed);
-  }
-  return total;
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
 std::vector<uint64_t> ExponentialBounds(uint64_t start, double factor,
@@ -121,82 +81,79 @@ HistogramSnapshot HistogramSnapshot::DeltaSince(
   return d;
 }
 
-uint64_t MetricsSnapshot::CounterValue(std::string_view name) const {
-  for (const auto& [n, v] : counters) {
-    if (n == name) return v;
-  }
-  return 0;
-}
+namespace {
 
-int64_t MetricsSnapshot::GaugeValue(std::string_view name) const {
-  for (const auto& [n, v] : gauges) {
-    if (n == name) return v;
-  }
-  return 0;
-}
-
-const HistogramSnapshot* MetricsSnapshot::FindHistogram(
-    std::string_view name) const {
-  for (const auto& [n, h] : histograms) {
-    if (n == name) return &h;
+/// The value named `name` in a list of (name, value) pairs, or null.
+template <typename List>
+auto FindNamed(List& list, std::string_view name)
+    -> decltype(&list.front().second) {
+  for (auto& [n, v] : list) {
+    if (n == name) return &v;
   }
   return nullptr;
 }
 
-Counter* MetricsRegistry::AddCounter(std::string name) {
-  for (const auto& named : counters_) {
-    if (named.name == name) return named.metric.get();
+}  // namespace
+
+uint64_t MetricsSnapshot::CounterValue(std::string_view name) const {
+  const uint64_t* v = FindNamed(counters, name);
+  return v != nullptr ? *v : 0;
+}
+
+int64_t MetricsSnapshot::GaugeValue(std::string_view name) const {
+  const int64_t* v = FindNamed(gauges, name);
+  return v != nullptr ? *v : 0;
+}
+
+const HistogramSnapshot* MetricsSnapshot::FindHistogram(
+    std::string_view name) const {
+  return FindNamed(histograms, name);
+}
+
+template <typename T, typename... Args>
+T* MetricsRegistry::Register(std::vector<Named<T>>* list, std::string name,
+                             Args&&... args) {
+  if (const std::unique_ptr<T>* found = FindNamed(*list, name)) {
+    return found->get();
   }
   TCSM_CHECK(!frozen_);
-  counters_.push_back({std::move(name), std::make_unique<Counter>()});
-  return counters_.back().metric.get();
+  list->emplace_back(std::move(name),
+                     std::make_unique<T>(std::forward<Args>(args)...));
+  return list->back().second.get();
+}
+
+Counter* MetricsRegistry::AddCounter(std::string name) {
+  return Register(&counters_, std::move(name));
 }
 
 Gauge* MetricsRegistry::AddGauge(std::string name) {
-  for (const auto& named : gauges_) {
-    if (named.name == name) return named.metric.get();
-  }
-  TCSM_CHECK(!frozen_);
-  gauges_.push_back({std::move(name), std::make_unique<Gauge>()});
-  return gauges_.back().metric.get();
+  return Register(&gauges_, std::move(name));
 }
 
 Histogram* MetricsRegistry::AddHistogram(std::string name,
                                          std::vector<uint64_t> bounds) {
-  for (const auto& named : histograms_) {
-    if (named.name == name) {
-      TCSM_CHECK(named.metric->bounds() == bounds);
-      return named.metric.get();
-    }
-  }
-  TCSM_CHECK(!frozen_);
-  histograms_.push_back(
-      {std::move(name), std::make_unique<Histogram>(std::move(bounds))});
-  return histograms_.back().metric.get();
+  Histogram* h = Register(&histograms_, std::move(name), bounds);
+  TCSM_CHECK(h->bounds() == bounds);
+  return h;
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& named : counters_) {
-    snap.counters.emplace_back(named.name, named.metric->Total());
+  for (const auto& [name, counter] : counters_) {
+    snap.counters.emplace_back(name, counter->Total());
   }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& named : gauges_) {
-    snap.gauges.emplace_back(named.name, named.metric->Value());
+  for (const auto& [name, gauge] : gauges_) {
+    snap.gauges.emplace_back(name, gauge->Value());
   }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& named : histograms_) {
-    const Histogram& h = *named.metric;
+  for (const auto& [name, h] : histograms_) {
     HistogramSnapshot hs;
-    hs.bounds = h.bounds();
-    hs.buckets.resize(h.num_buckets());
-    for (size_t b = 0; b < h.num_buckets(); ++b) {
-      hs.buckets[b] = h.BucketCount(b);
+    hs.bounds = h->bounds();
+    for (size_t b = 0; b < h->num_buckets(); ++b) {
+      hs.buckets.push_back(h->BucketCount(b));
     }
-    hs.count = h.TotalCount();
-    hs.sum = h.TotalSum();
-    snap.histograms.emplace_back(named.name, std::move(hs));
+    hs.count = h->TotalCount();
+    hs.sum = h->TotalSum();
+    snap.histograms.emplace_back(name, std::move(hs));
   }
   return snap;
 }

@@ -1,16 +1,17 @@
 // Metrics registry: named counters, gauges, and fixed-bucket latency
 // histograms for the observability subsystem (DESIGN.md §11).
 //
-// Hot-path contract: recording into a counter or histogram is ONE
-// uncontended relaxed atomic increment — every metric's storage is
-// striped across kMetricStripes cache-line-aligned cells and a thread
-// always touches its own stripe, so engines on different pool workers
-// never bounce a cache line. Reads (Total / Snapshot) merge the stripes;
-// they are monotone but not a consistent cut, which is all the stats
-// surface needs. When observability is off the instrumented code holds
-// null handles and skips the recording entirely (see StageMetrics), so
-// the subsystem costs one pointer test per site — measured against the
-// pinned bench_batching baseline by the nightly perf gate.
+// Single-writer contract: every registry write happens on the driver
+// thread — parse, batch, live/peak gauges, and the pipeline-step, drain
+// and shard-publish sites, which run in ThreadPool::PipelineFor's
+// caller-only settle. Engines never write here; their phase times live
+// in EngineCounters (core/engine.h) and reach the registry as the
+// engine.* gauges. So each value is ONE relaxed atomic: uncontended by
+// construction, and still exact if a caller does record concurrently.
+// Reads (Total / Snapshot) are monotone but not a consistent cut, which
+// is all the stats surface needs. When observability is off the
+// instrumented code holds null handles and skips the recording entirely
+// (see StageMetrics), so the subsystem costs one pointer test per site.
 //
 // Registration is get-or-create by name and allocates; Freeze() ends the
 // registration phase, after which recording is allocation-free (pinned
@@ -19,45 +20,24 @@
 #ifndef TCSM_OBS_METRICS_H_
 #define TCSM_OBS_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tcsm {
 
-/// Stripe count for per-thread sharded accumulation. A power of two; more
-/// stripes than typical pool widths so two workers rarely share one.
-inline constexpr size_t kMetricStripes = 16;
-
-/// The calling thread's stripe: assigned round-robin on first use,
-/// process-wide, so pool workers land on distinct stripes.
-size_t ThisThreadMetricStripe();
-
-struct alignas(64) MetricCell {
-  std::atomic<uint64_t> value{0};
-};
-
 class Counter {
  public:
-  void Add(uint64_t n = 1) {
-    cells_[ThisThreadMetricStripe()].value.fetch_add(
-        n, std::memory_order_relaxed);
-  }
-  uint64_t Total() const {
-    uint64_t total = 0;
-    for (const MetricCell& c : cells_) {
-      total += c.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t Total() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  std::array<MetricCell, kMetricStripes> cells_;
+  std::atomic<uint64_t> value_{0};
 };
 
 /// A point-in-time value (live edges, peak bytes). Written from the
@@ -85,22 +65,18 @@ class Histogram {
 
   const std::vector<uint64_t>& bounds() const { return bounds_; }
   size_t num_buckets() const { return bounds_.size() + 1; }
-  /// Merged view of one bucket (tests and snapshotting).
-  uint64_t BucketCount(size_t bucket) const;
-  uint64_t TotalCount() const;
-  uint64_t TotalSum() const;
+  uint64_t BucketCount(size_t bucket) const {
+    return buckets_[bucket].load(std::memory_order_relaxed);
+  }
+  uint64_t TotalCount() const { return count_.load(std::memory_order_relaxed); }
+  uint64_t TotalSum() const { return sum_.load(std::memory_order_relaxed); }
 
  private:
-  // Stripe-major cell layout: stripe s owns cells_[s*stride_ .. +stride_)
-  // = [bucket 0 .. bucket n-1, count, sum]. One stripe fits a few cache
-  // lines; a thread only ever writes its own stripe.
-  size_t CellIndex(size_t stripe, size_t slot) const {
-    return stripe * stride_ + slot;
-  }
-
   std::vector<uint64_t> bounds_;
-  size_t stride_;
-  std::vector<MetricCell> cells_;
+  // One cell per bucket, overflow last.
+  std::vector<std::atomic<uint64_t>> buckets_;
+  std::atomic<uint64_t> count_{0};
+  std::atomic<uint64_t> sum_{0};
 };
 
 /// Exponential bucket boundaries: count values start, start*factor, ...
@@ -150,16 +126,18 @@ class MetricsRegistry {
   void Freeze() { frozen_ = true; }
   bool frozen() const { return frozen_; }
 
-  /// Merged point-in-time view of every metric, names in registration
+  /// Point-in-time view of every metric, names in registration
   /// order. Allocates; meant for the stats cadence, not the hot path.
   MetricsSnapshot Snapshot() const;
 
  private:
   template <typename T>
-  struct Named {
-    std::string name;
-    std::unique_ptr<T> metric;
-  };
+  using Named = std::pair<std::string, std::unique_ptr<T>>;
+
+  /// Get-or-create in one of the lists below; a new metric is built
+  /// from `args`.
+  template <typename T, typename... Args>
+  T* Register(std::vector<Named<T>>* list, std::string name, Args&&... args);
 
   std::vector<Named<Counter>> counters_;
   std::vector<Named<Gauge>> gauges_;
@@ -196,8 +174,6 @@ struct StageMetrics {
   Histogram* expiry_batch_ns = nullptr;
   Histogram* pipeline_step_ns = nullptr;
   Histogram* sink_drain_ns = nullptr;
-  Histogram* engine_update_ns = nullptr;
-  Histogram* engine_search_ns = nullptr;
 };
 
 }  // namespace tcsm

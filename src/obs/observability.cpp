@@ -1,8 +1,23 @@
 #include "obs/observability.h"
 
+#include <iterator>
 #include <string_view>
+#include <utility>
+
+#include "common/numbers.h"
 
 namespace tcsm {
+
+/// The engine.* gauges and the EngineCounters field each republishes.
+constexpr std::pair<const char*, uint64_t EngineCounters::*> kEngineGauges[] = {
+    {"engine.occurred", &EngineCounters::occurred},
+    {"engine.expired", &EngineCounters::expired},
+    {"engine.search_nodes", &EngineCounters::search_nodes},
+    {"engine.adj_scanned", &EngineCounters::adj_entries_scanned},
+    {"engine.adj_matched", &EngineCounters::adj_entries_matched},
+    {"engine.update_ns", &EngineCounters::update_ns},
+    {"engine.search_ns", &EngineCounters::search_ns},
+};
 
 Observability::Observability() {
   stages_.arrivals = registry_.AddCounter("stream.arrivals");
@@ -16,11 +31,9 @@ Observability::Observability() {
   stages_.live_edges = registry_.AddGauge("stream.live_edges");
   stages_.peak_bytes = registry_.AddGauge("stream.peak_bytes");
   stages_.peak_event_index = registry_.AddGauge("stream.peak_event_index");
-  engine_occurred_ = registry_.AddGauge("engine.occurred");
-  engine_expired_ = registry_.AddGauge("engine.expired");
-  engine_search_nodes_ = registry_.AddGauge("engine.search_nodes");
-  engine_adj_scanned_ = registry_.AddGauge("engine.adj_scanned");
-  engine_adj_matched_ = registry_.AddGauge("engine.adj_matched");
+  for (const auto& gauge : kEngineGauges) {
+    engine_gauges_.push_back(registry_.AddGauge(gauge.first));
+  }
 
   const std::vector<uint64_t>& bounds = LatencyBoundsNs();
   stages_.parse_ns = registry_.AddHistogram("stage.parse_ns", bounds);
@@ -31,10 +44,6 @@ Observability::Observability() {
   stages_.pipeline_step_ns =
       registry_.AddHistogram("stage.pipeline_step_ns", bounds);
   stages_.sink_drain_ns = registry_.AddHistogram("stage.sink_drain_ns", bounds);
-  stages_.engine_update_ns =
-      registry_.AddHistogram("stage.engine_update_ns", bounds);
-  stages_.engine_search_ns =
-      registry_.AddHistogram("stage.engine_search_ns", bounds);
 
   registry_.Freeze();
 }
@@ -44,11 +53,9 @@ void Observability::EnableTrace() {
 }
 
 void Observability::PublishEngineCounters(const EngineCounters& agg) {
-  engine_occurred_->Set(static_cast<int64_t>(agg.occurred));
-  engine_expired_->Set(static_cast<int64_t>(agg.expired));
-  engine_search_nodes_->Set(static_cast<int64_t>(agg.search_nodes));
-  engine_adj_scanned_->Set(static_cast<int64_t>(agg.adj_entries_scanned));
-  engine_adj_matched_->Set(static_cast<int64_t>(agg.adj_entries_matched));
+  for (size_t i = 0; i < std::size(kEngineGauges); ++i) {
+    engine_gauges_[i]->Set(static_cast<int64_t>(agg.*kEngineGauges[i].second));
+  }
 }
 
 std::vector<StageSummaryRow> SummarizeStages(const MetricsSnapshot& snap) {
@@ -69,6 +76,18 @@ std::vector<StageSummaryRow> SummarizeStages(const MetricsSnapshot& snap) {
     rows.push_back(std::move(row));
   }
   return rows;
+}
+
+std::string StagesJson(const std::vector<StageSummaryRow>& rows) {
+  std::string json = "{";
+  for (const StageSummaryRow& r : rows) {
+    json += (json.size() == 1 ? "\"" : ",\"") + r.stage +
+            "\":{\"count\":" + std::to_string(r.count) +
+            ",\"p50_us\":" + FormatDouble(r.p50_us, 3) +
+            ",\"p99_us\":" + FormatDouble(r.p99_us, 3) +
+            ",\"total_ms\":" + FormatDouble(r.total_ms, 3) + "}";
+  }
+  return json + "}";
 }
 
 }  // namespace tcsm

@@ -1,6 +1,6 @@
 // The Observability bundle: one MetricsRegistry carrying the whole
 // streaming metric taxonomy, the StageMetrics handle set handed to the
-// instrumented seams, and an optional TraceWriter (DESIGN.md §11).
+// driver-thread seams, and an optional TraceWriter (DESIGN.md §11).
 //
 // Metric names (all registered up front, registry frozen in the ctor):
 //   counters    stream.arrivals, stream.expirations,
@@ -9,20 +9,22 @@
 //               io.ingest_bytes
 //   gauges      stream.live_edges, stream.peak_bytes,
 //               stream.peak_event_index, engine.occurred, engine.expired,
-//               engine.search_nodes, engine.adj_scanned, engine.adj_matched
+//               engine.search_nodes, engine.adj_scanned, engine.adj_matched,
+//               engine.update_ns, engine.search_ns
 //   histograms  stage.parse_ns, stage.arrival_batch_ns,
 //               stage.expiry_batch_ns, stage.pipeline_step_ns,
-//               stage.sink_drain_ns, stage.engine_update_ns,
-//               stage.engine_search_ns
+//               stage.sink_drain_ns
 //
 // io.ingest_records / io.ingest_bytes count records returned by and bytes
 // consumed from the StreamReader feeding a replay; stage.parse_ns times
 // record parsing (per record for text framing, per block load for binary).
 //
-// The engine.* gauges are republished from the aggregated EngineCounters
-// (by the drivers at end-of-run and by every StatsReporter tick), so
-// --json, BENCH JSON, the stats line, and a registry snapshot all read
-// the same source of truth.
+// Engines never touch the registry. The engine.* gauges are republished
+// from the aggregated EngineCounters (by the driver at end-of-run and by
+// every StatsReporter tick), so --json, BENCH JSON, the stats line, and a
+// registry snapshot all read the same source of truth — engine.update_ns
+// and engine.search_ns included: the two phases of Algorithm 1 (filter +
+// DCS upkeep, backtracking) are timed once, into EngineCounters.
 #ifndef TCSM_OBS_OBSERVABILITY_H_
 #define TCSM_OBS_OBSERVABILITY_H_
 
@@ -58,15 +60,12 @@ class Observability {
  private:
   MetricsRegistry registry_;
   StageMetrics stages_;
-  Gauge* engine_occurred_;
-  Gauge* engine_expired_;
-  Gauge* engine_search_nodes_;
-  Gauge* engine_adj_scanned_;
-  Gauge* engine_adj_matched_;
+  std::vector<Gauge*> engine_gauges_;  // one per kEngineGauges entry
   std::unique_ptr<TraceWriter> trace_;
 };
 
-/// One row of the end-of-run per-stage summary (CLI text + JSON output).
+/// One row of a per-stage summary: the end-of-run table and JSON, and
+/// (over a snapshot delta) each StatsReporter tick.
 struct StageSummaryRow {
   std::string stage;  // histogram name minus the "stage."/"_ns" affixes
   uint64_t count = 0;
@@ -77,6 +76,10 @@ struct StageSummaryRow {
 
 /// Rows for every stage histogram with at least one observation.
 std::vector<StageSummaryRow> SummarizeStages(const MetricsSnapshot& snap);
+
+/// The rows as the JSON object of `replay --json` and the JSON stats
+/// ticks: {"<stage>":{"count":..,"p50_us":..,"p99_us":..,"total_ms":..}}.
+std::string StagesJson(const std::vector<StageSummaryRow>& rows);
 
 }  // namespace tcsm
 

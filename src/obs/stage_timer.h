@@ -10,72 +10,19 @@
 #include <chrono>
 #include <cstdint>
 
+#include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace tcsm {
 
-namespace obs_internal {
-
-inline uint64_t DurationNs(std::chrono::steady_clock::time_point start,
-                           std::chrono::steady_clock::time_point end) {
-  return end < start
-             ? 0
-             : static_cast<uint64_t>(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       end - start)
-                       .count());
-}
-
-}  // namespace obs_internal
-
-/// Times one scope: on destruction observes the elapsed nanoseconds into
-/// `hist` (if non-null) and emits a trace span (if `trace` non-null).
-/// `name`/`cat`/`arg_key` must be string literals.
-class ScopedStage {
- public:
-  ScopedStage(Histogram* hist, TraceWriter* trace, const char* name,
-              const char* cat, const char* arg_key = nullptr,
-              uint64_t arg_value = 0)
-      : hist_(hist),
-        trace_(trace),
-        name_(name),
-        cat_(cat),
-        arg_key_(arg_key),
-        arg_value_(arg_value) {
-    if (hist_ != nullptr || trace_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ScopedStage(const ScopedStage&) = delete;
-  ScopedStage& operator=(const ScopedStage&) = delete;
-
-  ~ScopedStage() {
-    if (hist_ == nullptr && trace_ == nullptr) return;
-    const auto end = std::chrono::steady_clock::now();
-    const uint64_t dur = obs_internal::DurationNs(start_, end);
-    if (hist_ != nullptr) hist_->Observe(dur);
-    if (trace_ != nullptr) {
-      trace_->Emit(name_, cat_, trace_->ToNs(start_), dur, arg_key_,
-                   arg_value_);
-    }
-  }
-
- private:
-  Histogram* const hist_;
-  TraceWriter* const trace_;
-  const char* const name_;
-  const char* const cat_;
-  const char* const arg_key_;
-  const uint64_t arg_value_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// Driver-side bookkeeping for pipelined batch fan-out, where step
 /// boundaries are only observable inside PipelineFor settle callbacks:
 /// each Step() closes the span opened by the previous Step()/Restart()
-/// and records it; Restart() reopens the clock after settle-side work so
-/// drain/apply time is not billed to the next step.
+/// (or the constructor), observing its nanoseconds into `hist` (if
+/// non-null) and emitting a trace span (if `trace` non-null); Restart()
+/// reopens the clock after settle-side work so drain/apply time is not
+/// billed to the next step. Names and arg keys must be string literals.
 class StepObserver {
  public:
   StepObserver(Histogram* hist, TraceWriter* trace, const char* cat)
@@ -88,7 +35,7 @@ class StepObserver {
   void Step(const char* name, const char* arg_key, uint64_t arg_value) {
     if (!active()) return;
     const auto now = std::chrono::steady_clock::now();
-    const uint64_t dur = obs_internal::DurationNs(last_, now);
+    const uint64_t dur = DurationNs(last_, now);
     if (hist_ != nullptr) hist_->Observe(dur);
     if (trace_ != nullptr) {
       trace_->Emit(name, cat_, trace_->ToNs(last_), dur, arg_key, arg_value);
@@ -105,6 +52,27 @@ class StepObserver {
   TraceWriter* const trace_;
   const char* const cat_;
   std::chrono::steady_clock::time_point last_;
+};
+
+/// Times one scope as a single StepObserver step, closed on destruction.
+class ScopedStage {
+ public:
+  ScopedStage(Histogram* hist, TraceWriter* trace, const char* name,
+              const char* cat, const char* arg_key = nullptr,
+              uint64_t arg_value = 0)
+      : step_(hist, trace, cat),
+        name_(name),
+        arg_key_(arg_key),
+        arg_value_(arg_value) {}
+  ScopedStage(const ScopedStage&) = delete;
+  ScopedStage& operator=(const ScopedStage&) = delete;
+  ~ScopedStage() { step_.Step(name_, arg_key_, arg_value_); }
+
+ private:
+  StepObserver step_;
+  const char* const name_;
+  const char* const arg_key_;
+  const uint64_t arg_value_;
 };
 
 }  // namespace tcsm

@@ -1,34 +1,10 @@
 #include "obs/stats_reporter.h"
 
-#include <cstdio>
 #include <ostream>
-#include <string_view>
+
+#include "common/numbers.h"
 
 namespace tcsm {
-
-namespace {
-
-std::string Fmt1(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1f", v);
-  return buf;
-}
-
-std::string Fmt3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
-std::string ShortStageName(std::string_view name) {
-  if (name.substr(0, 6) == "stage.") name.remove_prefix(6);
-  if (name.size() > 3 && name.substr(name.size() - 3) == "_ns") {
-    name.remove_suffix(3);
-  }
-  return std::string(name);
-}
-
-}  // namespace
 
 StatsReporter::StatsReporter(Observability* obs, size_t every_events,
                              bool json, std::ostream* out)
@@ -52,41 +28,42 @@ void StatsReporter::Tick(size_t events_total, size_t live_edges,
       agg.adj_entries_matched - last_agg_.adj_entries_matched;
   const double selectivity =
       scanned > 0 ? static_cast<double>(matched) / scanned : 0.0;
+  const double update_ms =
+      static_cast<double>(agg.update_ns - last_agg_.update_ns) / 1e6;
+  const double search_ms =
+      static_cast<double>(agg.search_ns - last_agg_.search_ns) / 1e6;
 
+  // Per-stage quantiles over the interval: the end-of-run summary rows
+  // of the snapshot delta, so both reports name stages alike.
   MetricsSnapshot snap = obs_->Snapshot();
+  MetricsSnapshot interval;
+  for (const auto& [name, hist] : snap.histograms) {
+    const HistogramSnapshot* prev = last_snap_.FindHistogram(name);
+    interval.histograms.emplace_back(
+        name, prev != nullptr ? hist.DeltaSince(*prev) : hist);
+  }
+  const std::vector<StageSummaryRow> stages = SummarizeStages(interval);
   std::ostream& out = *out_;
   if (json_) {
     out << "{\"type\":\"stats\",\"events\":" << events_total
-        << ",\"events_per_sec\":" << Fmt1(events_per_sec)
+        << ",\"events_per_sec\":" << FormatDouble(events_per_sec, 1)
         << ",\"live_edges\":" << live_edges << ",\"occurred\":" << agg.occurred
         << ",\"expired\":" << agg.expired
-        << ",\"scan_selectivity\":" << Fmt3(selectivity) << ",\"stages\":{";
-    bool first = true;
-    for (const auto& [name, hist] : snap.histograms) {
-      const HistogramSnapshot* prev = last_snap_.FindHistogram(name);
-      const HistogramSnapshot delta =
-          prev != nullptr ? hist.DeltaSince(*prev) : hist;
-      if (delta.count == 0) continue;
-      if (!first) out << ",";
-      first = false;
-      out << "\"" << ShortStageName(name) << "\":{\"count\":" << delta.count
-          << ",\"p50_us\":" << Fmt3(delta.Quantile(0.50) / 1000.0)
-          << ",\"p99_us\":" << Fmt3(delta.Quantile(0.99) / 1000.0) << "}";
-    }
-    out << "}}\n";
+        << ",\"scan_selectivity\":" << FormatDouble(selectivity, 3)
+        << ",\"update_ms\":" << FormatDouble(update_ms, 3)
+        << ",\"search_ms\":" << FormatDouble(search_ms, 3)
+        << ",\"stages\":" << StagesJson(stages) << "}\n";
   } else {
     out << "[stats] events=" << events_total
-        << " ev_per_s=" << Fmt1(events_per_sec) << " live=" << live_edges
-        << " occurred=" << agg.occurred << " expired=" << agg.expired
-        << " scan_sel=" << Fmt3(selectivity);
-    for (const auto& [name, hist] : snap.histograms) {
-      const HistogramSnapshot* prev = last_snap_.FindHistogram(name);
-      const HistogramSnapshot delta =
-          prev != nullptr ? hist.DeltaSince(*prev) : hist;
-      if (delta.count == 0) continue;
-      const std::string stage = ShortStageName(name);
-      out << " " << stage << "_p50_us=" << Fmt3(delta.Quantile(0.50) / 1000.0)
-          << " " << stage << "_p99_us=" << Fmt3(delta.Quantile(0.99) / 1000.0);
+        << " ev_per_s=" << FormatDouble(events_per_sec, 1)
+        << " live=" << live_edges << " occurred=" << agg.occurred
+        << " expired=" << agg.expired
+        << " scan_sel=" << FormatDouble(selectivity, 3)
+        << " update_ms=" << FormatDouble(update_ms, 3)
+        << " search_ms=" << FormatDouble(search_ms, 3);
+    for (const StageSummaryRow& r : stages) {
+      out << " " << r.stage << "_p50_us=" << FormatDouble(r.p50_us, 3) << " "
+          << r.stage << "_p99_us=" << FormatDouble(r.p99_us, 3);
     }
     out << "\n";
   }

@@ -1,7 +1,8 @@
 // Periodic stream statistics (--stats-every=N): one text or JSON line
-// every N delivered events with events/sec, live window occupancy,
-// per-stage latency quantiles over the tick interval, and scan
-// selectivity (DESIGN.md §11).
+// every N delivered events with events/sec, live window occupancy, and —
+// over the tick interval — scan selectivity, the engines' update/search
+// milliseconds (EngineCounters deltas) and per-stage latency quantiles
+// (DESIGN.md §11).
 #ifndef TCSM_OBS_STATS_REPORTER_H_
 #define TCSM_OBS_STATS_REPORTER_H_
 

@@ -17,6 +17,8 @@
 #include <mutex>
 #include <vector>
 
+#include "common/timer.h"
+
 namespace tcsm {
 
 class TraceWriter {
@@ -28,12 +30,7 @@ class TraceWriter {
   /// Nanoseconds since the writer's epoch.
   uint64_t NowNs() const { return ToNs(std::chrono::steady_clock::now()); }
   uint64_t ToNs(std::chrono::steady_clock::time_point tp) const {
-    return tp < epoch_
-               ? 0
-               : static_cast<uint64_t>(
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         tp - epoch_)
-                         .count());
+    return DurationNs(epoch_, tp);
   }
 
   /// Record one complete-duration span on the calling thread's track.

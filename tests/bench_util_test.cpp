@@ -53,6 +53,34 @@ TEST(BenchArgs, ParsesFlags) {
   EXPECT_EQ(args.seed, 77u);
 }
 
+TEST(BenchArgsDeathTest, HelpPrintsUsageAndExitsZero) {
+  // Benches call ParseBenchArgs first thing, so --help must end the
+  // process here instead of falling through to a benchmark run.
+  for (const char* flag : {"--help", "-h"}) {
+    const char* argv[] = {"bench", "--scale=0.1", flag};
+    EXPECT_EXIT(ParseBenchArgs(3, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(0), "")
+        << flag;
+  }
+}
+
+TEST(BenchArgsDeathTest, UnknownFlagOrMalformedValueExitsTwo) {
+  const auto expect_usage_error = [](const char* arg, const char* message) {
+    const char* argv[] = {"bench", arg};
+    EXPECT_EXIT(ParseBenchArgs(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2), message)
+        << arg;
+  };
+  expect_usage_error("--bogus=1", "unknown flag '--bogus'.*\nusage: bench");
+  expect_usage_error("--scales=2", "unknown flag '--scales'");
+  expect_usage_error("positional", "unknown argument 'positional'");
+  expect_usage_error("--scale=0.5x", "--scale expects a number, got '0.5x'");
+  expect_usage_error("--scale=", "--scale expects a number, got ''");
+  expect_usage_error("--queries=-1", "--queries expects a non-negative");
+  expect_usage_error("--seed=7abc", "--seed expects a non-negative");
+  expect_usage_error("--limit_ms=fast", "--limit_ms expects a number");
+}
+
 TEST(EffectiveWindow, ScalesByPaperRatioWithFloorAndCap) {
   TemporalDataset ds = MakePreset("superuser", 1.0);  // 48k edges, 1.44M
   const Timestamp w = EffectiveWindow(ds, 30000);

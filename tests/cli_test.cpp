@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/commands.h"
 
@@ -552,6 +554,81 @@ TEST(Cli, MainDispatch) {
   EXPECT_EQ(Main(2, const_cast<char**>(argv1), out, err2), 2);
 }
 
+TEST(Cli, MalformedNumericFlagsAreUsageErrors) {
+  // A numeric flag must parse in full: a trailing-garbage value is not
+  // silently truncated (12abc -> 12) and a non-number does not escape as
+  // an uncaught exception; both are named usage errors, exit 2, before
+  // any stream is generated.
+  for (const std::string value : {"zz", "12abc"}) {
+    const std::string flag = "--vertices=" + value;
+    const char* argv[] = {"tcsm", "gen", "random", "-", flag.c_str()};
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(Main(5, const_cast<char**>(argv), out, err), 2) << value;
+    EXPECT_EQ(out.str(),
+              "error: --vertices expects an integer, got '" + value + "'\n");
+  }
+  const char* argv[] = {"tcsm", "gen", "random", "-", "--parallel=1.5x"};
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(Main(5, const_cast<char**>(argv), out, err), 2);
+  EXPECT_EQ(out.str(), "error: --parallel expects a number, got '1.5x'\n");
+}
+
+TEST(Cli, EngineTimeReportedPerRunAndPerQuery) {
+  // Engine time has one record, EngineCounters: `replay --json` reports
+  // the run's update/search milliseconds and one pair per query, and the
+  // per-query pairs sum to the run totals (up to the printed rounding).
+  const std::string tel = TmpPath("cli_etime.tel");
+  std::ostringstream out;
+  ASSERT_EQ(CmdGen({"random", tel, "--vertices=40", "--edges=600",
+                    "--vlabels=2", "--seed=3", "--window=150"},
+                   out),
+            0)
+      << out.str();
+  std::vector<std::string> queries;
+  for (int i = 0; i < 3; ++i) {
+    queries.push_back(TmpPath("cli_etime" + std::to_string(i) + ".tq"));
+    ASSERT_EQ(CmdGenQuery({tel, queries.back(), "--size=3", "--density=0.5",
+                           "--window=150", "--seed=" + std::to_string(i + 1)},
+                          out),
+              0)
+        << out.str();
+  }
+  const auto values = [](const std::string& s, const std::string& key) {
+    std::vector<double> found;
+    for (size_t at = s.find(key); at != std::string::npos;
+         at = s.find(key, at + 1)) {
+      found.push_back(std::stod(s.substr(at + key.size())));
+    }
+    return found;
+  };
+  for (const std::string threads : {"--threads=1", "--threads=2"}) {
+    SCOPED_TRACE(threads);
+    Args args{tel};
+    args.insert(args.end(), queries.begin(), queries.end());
+    args.push_back(threads);
+    std::ostringstream text;
+    ASSERT_EQ(CmdReplay(args, text), 0) << text.str();
+    EXPECT_NE(text.str().find(" update_ms="), std::string::npos) << text.str();
+    EXPECT_NE(text.str().find(" search_ms="), std::string::npos) << text.str();
+
+    args.push_back("--json");
+    std::ostringstream json;
+    ASSERT_EQ(CmdReplay(args, json), 0) << json.str();
+    for (const std::string key : {"\"update_ms\":", "\"search_ms\":"}) {
+      // The run total comes first, then one value per query.
+      const std::vector<double> ms = values(json.str(), key);
+      ASSERT_EQ(ms.size(), 1 + queries.size()) << key << json.str();
+      double sum = 0;
+      for (size_t i = 1; i < ms.size(); ++i) sum += ms[i];
+      EXPECT_NEAR(sum, ms[0], 0.001 * ms.size()) << key << json.str();
+      EXPECT_GT(ms[0], 0.0) << key << json.str();
+    }
+  }
+  std::remove(tel.c_str());
+  for (const std::string& q : queries) std::remove(q.c_str());
+}
 
 TEST(Cli, ObservabilityFlags) {
   const std::string tel = TmpPath("cli_obs.tel");

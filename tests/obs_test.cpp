@@ -1,6 +1,6 @@
 // Unit tests for the observability subsystem (src/obs/, DESIGN.md §11):
-// counter/gauge/histogram semantics, exact per-thread stripe merging
-// under a real ThreadPool, histogram bucket boundary pinning, the
+// counter/gauge/histogram semantics, exact concurrent recording under a
+// real ThreadPool, histogram bucket boundary pinning, the
 // allocation-free recording contract after MetricsRegistry::Freeze(),
 // trace span collection from pool threads, and the StatsReporter's text
 // and JSON line shapes.
@@ -45,7 +45,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace tcsm {
 namespace {
 
-TEST(CounterTest, AddAccumulatesAcrossStripes) {
+TEST(CounterTest, AddAccumulates) {
   Counter c;
   EXPECT_EQ(c.Total(), 0u);
   c.Add();
@@ -54,8 +54,8 @@ TEST(CounterTest, AddAccumulatesAcrossStripes) {
 }
 
 TEST(CounterTest, ExactUnderThreadPool) {
-  // Every pool worker lands on its own stripe; the merged total must be
-  // exact (no lost updates), not merely approximate.
+  // Recording is driver-only in the streaming path, but a counter stays
+  // one atomic: concurrent pool workers must still lose no update.
   Counter c;
   ThreadPool pool(8);
   constexpr size_t kIters = 10000;
@@ -183,8 +183,6 @@ TEST(MetricsRegistryTest, RecordingIsAllocationFreeAfterFreeze) {
   Gauge* g = reg.AddGauge("g");
   Histogram* h = reg.AddHistogram("h", ExponentialBounds(250, 2.0, 26));
   reg.Freeze();
-  // Warm up the calling thread's stripe assignment outside the window.
-  c->Add(0);
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     c->Add(1);
@@ -280,8 +278,6 @@ TEST(ObservabilityTest, RegistersFullTaxonomyAndFreezes) {
   EXPECT_NE(stages.expiry_batch_ns, nullptr);
   EXPECT_NE(stages.pipeline_step_ns, nullptr);
   EXPECT_NE(stages.sink_drain_ns, nullptr);
-  EXPECT_NE(stages.engine_update_ns, nullptr);
-  EXPECT_NE(stages.engine_search_ns, nullptr);
   EXPECT_TRUE(obs.registry().frozen());
   EXPECT_EQ(obs.trace(), nullptr) << "tracing must be opt-in";
   obs.EnableTrace();
@@ -296,6 +292,8 @@ TEST(ObservabilityTest, PublishEngineCountersSetsGauges) {
   agg.search_nodes = 100;
   agg.adj_entries_scanned = 50;
   agg.adj_entries_matched = 25;
+  agg.update_ns = 3000;
+  agg.search_ns = 4000;
   obs.PublishEngineCounters(agg);
   const MetricsSnapshot snap = obs.Snapshot();
   EXPECT_EQ(snap.GaugeValue("engine.occurred"), 11);
@@ -303,6 +301,8 @@ TEST(ObservabilityTest, PublishEngineCountersSetsGauges) {
   EXPECT_EQ(snap.GaugeValue("engine.search_nodes"), 100);
   EXPECT_EQ(snap.GaugeValue("engine.adj_scanned"), 50);
   EXPECT_EQ(snap.GaugeValue("engine.adj_matched"), 25);
+  EXPECT_EQ(snap.GaugeValue("engine.update_ns"), 3000);
+  EXPECT_EQ(snap.GaugeValue("engine.search_ns"), 4000);
 }
 
 TEST(ObservabilityTest, SummarizeStagesSkipsEmptyAndStripsAffixes) {
@@ -348,16 +348,28 @@ TEST(StatsReporterTest, TextLineShape) {
   agg.occurred = 5;
   agg.adj_entries_scanned = 40;
   agg.adj_entries_matched = 10;
+  agg.update_ns = 2500000;
+  agg.search_ns = 500000;
   rep.Tick(100, 42, agg);
   const std::string line = out.str();
   EXPECT_EQ(line.rfind("[stats] events=100 ", 0), 0u) << line;
   EXPECT_NE(line.find(" ev_per_s="), std::string::npos) << line;
   EXPECT_NE(line.find(" live=42 "), std::string::npos) << line;
   EXPECT_NE(line.find(" occurred=5 "), std::string::npos) << line;
-  EXPECT_NE(line.find(" scan_sel=0.25"), std::string::npos) << line;
+  EXPECT_NE(line.find(" scan_sel=0.250 update_ms=2.500 search_ms=0.500 "),
+            std::string::npos)
+      << line;
   EXPECT_NE(line.find(" arrival_batch_p50_us="), std::string::npos) << line;
   EXPECT_NE(line.find("_p99_us="), std::string::npos) << line;
   EXPECT_EQ(line.back(), '\n');
+
+  // Engine time is reported per tick interval, like the stage quantiles.
+  out.str("");
+  agg.update_ns += 1000000;
+  rep.Tick(200, 42, agg);
+  EXPECT_NE(out.str().find(" update_ms=1.000 search_ms=0.000"),
+            std::string::npos)
+      << out.str();
 }
 
 TEST(StatsReporterTest, JsonLineShape) {
@@ -375,6 +387,9 @@ TEST(StatsReporterTest, JsonLineShape) {
   EXPECT_NE(line.find("\"live_edges\":7"), std::string::npos) << line;
   EXPECT_NE(line.find("\"occurred\":3"), std::string::npos) << line;
   EXPECT_NE(line.find("\"expired\":1"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"update_ms\":0.000,\"search_ms\":0.000,"),
+            std::string::npos)
+      << line;
   EXPECT_NE(line.find("\"stages\":{\"expiry_batch\":{\"count\":1,"),
             std::string::npos)
       << line;

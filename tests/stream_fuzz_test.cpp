@@ -554,7 +554,8 @@ TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
   }
 
   const auto check = [&](const StreamResult& res, const TaggedStreams& run,
-                         const Observability& obs) {
+                         const Observability& obs,
+                         const EngineCounters& agg) {
     ASSERT_TRUE(res.completed);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       EXPECT_EQ(run.streams[qi], reference.streams[qi])
@@ -569,6 +570,14 @@ TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
               static_cast<int64_t>(res.occurred));
     EXPECT_EQ(snap.GaugeValue("engine.expired"),
               static_cast<int64_t>(res.expired));
+    // Engine time has one record, EngineCounters: the run's deltas in
+    // the result, the gauges and the context's aggregate all agree.
+    EXPECT_EQ(res.update_ns, agg.update_ns);
+    EXPECT_EQ(res.search_ns, agg.search_ns);
+    EXPECT_EQ(snap.GaugeValue("engine.update_ns"),
+              static_cast<int64_t>(res.update_ns));
+    EXPECT_EQ(snap.GaugeValue("engine.search_ns"),
+              static_cast<int64_t>(res.search_ns));
     EXPECT_EQ(snap.GaugeValue("stream.peak_event_index"),
               static_cast<int64_t>(res.peak_memory_event_index));
     EXPECT_LE(res.peak_memory_event_index, res.events);
@@ -583,7 +592,7 @@ TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
     MultiQueryEngine engine(queries, schema_, TcmConfig{}, threads);
     engine.set_multi_sink(&run);
     const StreamResult res = RunStream(dataset_, config, &engine);
-    check(res, run, obs);
+    check(res, run, obs, engine.AggregateCounters());
   }
 
   for (const size_t shards : {size_t{2}, size_t{4}}) {
@@ -596,7 +605,7 @@ TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
                                    /*num_threads=*/4);
     engine.set_multi_sink(&run);
     const StreamResult res = RunStream(dataset_, config, &engine);
-    check(res, run, obs);
+    check(res, run, obs, engine.AggregateCounters());
   }
 }
 

@@ -417,7 +417,7 @@ TEST(TelIngestMetrics, CountersReconcileWithTheStream) {
     Observability obs;
     std::istringstream in(tel);
     StreamReader reader(in, "metrics.tel");
-    reader.set_stage_metrics(&obs.stages());
+    reader.set_metrics(&obs.stages());
     ASSERT_TRUE(reader.Init().ok());
     uint64_t records = 0;
     StreamRecord rec;
