@@ -1,7 +1,9 @@
 #include "cli/commands.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -41,17 +43,26 @@ struct FlagError : std::invalid_argument {
 };
 
 /// Tiny flag parser: positional arguments plus --key=value / --switch.
+/// Each subcommand names the flags it accepts; the first other flag is
+/// kept as unknown(), and BadUsage refuses to run the command with it.
 class FlagSet {
  public:
-  explicit FlagSet(const Args& args) {
+  FlagSet(const Args& args, std::initializer_list<const char*> accepted) {
     for (const std::string& a : args) {
       if (a.rfind("--", 0) == 0) {
-        const size_t eq = a.find('=');
-        if (eq == std::string::npos) {
-          flags_[a.substr(2)] = "";
-        } else {
-          flags_[a.substr(2, eq - 2)] = a.substr(eq + 1);
+        std::string name = a.substr(2);
+        std::string value;
+        const size_t eq = name.find('=');
+        if (eq != std::string::npos) {
+          value = name.substr(eq + 1);
+          name.resize(eq);
         }
+        if (unknown_.empty() &&
+            std::none_of(accepted.begin(), accepted.end(),
+                         [&](const char* f) { return name == f; })) {
+          unknown_ = name;
+        }
+        flags_[name] = std::move(value);
       } else {
         positional_.push_back(a);
       }
@@ -59,6 +70,8 @@ class FlagSet {
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
+  /// The first flag the subcommand does not accept; empty when none.
+  const std::string& unknown() const { return unknown_; }
   bool Has(const std::string& name) const { return flags_.count(name) > 0; }
 
   std::string GetString(const std::string& name,
@@ -90,7 +103,35 @@ class FlagSet {
 
   std::vector<std::string> positional_;
   std::map<std::string, std::string> flags_;
+  std::string unknown_;
 };
+
+/// The argument-shape check every subcommand runs before any work: with
+/// an unknown flag or a wrong positional count it prints the usage text
+/// (after naming the flag) and returns true, and the command exits 2. The
+/// observability flags get a pointed message on the subcommands that
+/// drive no stream.
+bool BadUsage(const FlagSet& flags, bool positional_ok, const char* cmd,
+              const std::string& usage, std::ostream& out) {
+  const std::string& bad = flags.unknown();
+  if (bad.empty() && positional_ok) return false;
+  if (bad == "metrics" || bad == "stats-every" || bad == "trace-out") {
+    out << "error: --" << bad
+        << " only applies to streaming subcommands (run, replay), not '"
+        << cmd << "'\n";
+  } else if (!bad.empty()) {
+    out << "error: unknown flag --" << bad << "\n";
+  }
+  out << usage;
+  return true;
+}
+
+/// `usage` followed by the preset names (gen, gen-data).
+std::string WithPresets(const char* usage) {
+  std::string text = std::string(usage) + "   presets: ";
+  for (const auto& p : PresetNames()) text += p + " ";
+  return text + "\n";
+}
 
 /// Loads either dataset format (`.tel` sniffed by header, else legacy
 /// edge list); the `.tel` header, when present, is returned for window
@@ -350,23 +391,6 @@ bool ResolveObsFlags(const FlagSet& flags, std::ostream& out,
   return true;
 }
 
-/// The observability flags only make sense where a stream is driven;
-/// reject them loudly on the other subcommands instead of silently
-/// ignoring a typo'd invocation. Returns true (after printing an error)
-/// when any such flag is present.
-bool RejectObsFlags(const FlagSet& flags, const char* cmd,
-                    std::ostream& out) {
-  for (const char* f : {"metrics", "stats-every", "trace-out"}) {
-    if (flags.Has(f)) {
-      out << "error: --" << f
-          << " only applies to streaming subcommands (run, replay), not '"
-          << cmd << "'\n";
-      return true;
-    }
-  }
-  return false;
-}
-
 /// End-of-run observability output: writes the trace file (validated
 /// offline by tools/check_trace.py) and, in text mode, the per-stage
 /// latency table. Returns non-zero on trace write failure.
@@ -455,12 +479,12 @@ bool ResolveTelFormatFlags(const FlagSet& flags, bool default_binary,
 }  // namespace
 
 int CmdStats(const Args& args, std::ostream& out) {
-  const FlagSet flags(args);
-  if (flags.positional().size() != 1) {
-    out << "usage: tcsm stats <dataset> [--directed] [--labels=file]\n";
+  const FlagSet flags(args, {"directed", "labels"});
+  if (BadUsage(flags, flags.positional().size() == 1, "stats",
+               "usage: tcsm stats <dataset> [--directed] [--labels=file]\n",
+               out)) {
     return 2;
   }
-  if (RejectObsFlags(flags, "stats", out)) return 2;
   const auto ds = LoadDataset(flags, flags.positional()[0], out);
   if (!ds) return 1;
   PrintStats(*ds, out);
@@ -468,19 +492,21 @@ int CmdStats(const Args& args, std::ostream& out) {
 }
 
 int CmdGen(const Args& args, std::ostream& out) {
-  const FlagSet flags(args);
-  if (flags.positional().empty() || flags.positional().size() > 2) {
-    out << "usage: tcsm gen <preset|random> [<out.tel>|-] [--scale=S] "
-           "[--seed=K] [--window=D] [--expiry=explicit] "
-           "[--format=text|binary] [--varint=on|off] [--block-records=N] "
-           "[--vertices=N --edges=M --vlabels=a --elabels=b --parallel=p "
-           "--coalesce=c --directed]\n"
-           "   presets: ";
-    for (const auto& p : PresetNames()) out << p << " ";
-    out << "\n";
+  const FlagSet flags(
+      args, {"scale", "seed", "window", "expiry", "format", "varint",
+             "block-records", "vertices", "edges", "vlabels", "elabels",
+             "parallel", "coalesce", "directed"});
+  const size_t npos = flags.positional().size();
+  if (BadUsage(flags, npos == 1 || npos == 2, "gen",
+               WithPresets(
+                   "usage: tcsm gen <preset|random> [<out.tel>|-] "
+                   "[--scale=S] [--seed=K] [--window=D] [--expiry=explicit] "
+                   "[--format=text|binary] [--varint=on|off] "
+                   "[--block-records=N] [--vertices=N --edges=M --vlabels=a "
+                   "--elabels=b --parallel=p --coalesce=c --directed]\n"),
+               out)) {
     return 2;
   }
-  if (RejectObsFlags(flags, "gen", out)) return 2;
   const auto ds = BuildSynthetic(flags, flags.positional()[0], out);
   if (!ds) return 1;
 
@@ -519,14 +545,15 @@ int CmdGen(const Args& args, std::ostream& out) {
 }
 
 int CmdConvert(const Args& args, std::ostream& out) {
-  const FlagSet flags(args);
-  if (flags.positional().size() != 2) {
-    out << "usage: tcsm convert <in.tel|-> <out.tel|-> "
-           "[--format=binary|text] [--varint=on|off] [--block-records=N]\n"
-           "   default --format is the opposite framing of the input\n";
+  const FlagSet flags(args, {"format", "varint", "block-records"});
+  if (BadUsage(flags, flags.positional().size() == 2, "convert",
+               "usage: tcsm convert <in.tel|-> <out.tel|-> "
+               "[--format=binary|text] [--varint=on|off] "
+               "[--block-records=N]\n"
+               "   default --format is the opposite framing of the input\n",
+               out)) {
     return 2;
   }
-  if (RejectObsFlags(flags, "convert", out)) return 2;
   const std::string in_path = flags.positional()[0];
   const std::string out_path = flags.positional()[1];
   std::ifstream in_file;
@@ -601,16 +628,16 @@ int CmdConvert(const Args& args, std::ostream& out) {
 }
 
 int CmdGenData(const Args& args, std::ostream& out) {
-  const FlagSet flags(args);
-  if (flags.positional().size() != 2) {
-    out << "usage: tcsm gen-data <preset|random> <out-file> [--scale=S] "
-           "[--seed=K] [--vertices=N --edges=M --vlabels=a --elabels=b "
-           "--parallel=p --coalesce=c --directed]\n   presets: ";
-    for (const auto& p : PresetNames()) out << p << " ";
-    out << "\n";
+  const FlagSet flags(args, {"scale", "seed", "vertices", "edges", "vlabels",
+                             "elabels", "parallel", "coalesce", "directed"});
+  if (BadUsage(flags, flags.positional().size() == 2, "gen-data",
+               WithPresets("usage: tcsm gen-data <preset|random> <out-file> "
+                           "[--scale=S] [--seed=K] [--vertices=N --edges=M "
+                           "--vlabels=a --elabels=b --parallel=p "
+                           "--coalesce=c --directed]\n"),
+               out)) {
     return 2;
   }
-  if (RejectObsFlags(flags, "gen-data", out)) return 2;
   const std::string path = flags.positional()[1];
   const auto ds = BuildSynthetic(flags, flags.positional()[0], out);
   if (!ds) return 1;
@@ -631,15 +658,17 @@ int CmdGenData(const Args& args, std::ostream& out) {
 }
 
 int CmdGenQuery(const Args& args, std::ostream& out) {
-  const FlagSet flags(args);
-  if (flags.positional().size() != 2) {
-    out << "usage: tcsm gen-query <dataset> <out-file> [--size=m] "
-           "[--density=d] [--window=w] [--seed=K] [--directed] "
-           "[--labels=file] [--gaps=p] [--gap-slack=s] [--absence=n] "
-           "[--absence-delta=d]\n";
+  const FlagSet flags(args, {"size", "density", "window", "seed", "directed",
+                             "labels", "gaps", "gap-slack", "absence",
+                             "absence-delta"});
+  if (BadUsage(flags, flags.positional().size() == 2, "gen-query",
+               "usage: tcsm gen-query <dataset> <out-file> [--size=m] "
+               "[--density=d] [--window=w] [--seed=K] [--directed] "
+               "[--labels=file] [--gaps=p] [--gap-slack=s] [--absence=n] "
+               "[--absence-delta=d]\n",
+               out)) {
     return 2;
   }
-  if (RejectObsFlags(flags, "gen-query", out)) return 2;
   const auto ds = LoadDataset(flags, flags.positional()[0], out);
   if (!ds) return 1;
   QueryGenOptions opt;
@@ -670,13 +699,17 @@ int CmdGenQuery(const Args& args, std::ostream& out) {
 }
 
 int CmdRun(const Args& args, std::ostream& out) {
-  const FlagSet flags(args);
-  if (flags.positional().size() != 2) {
-    out << "usage: tcsm run <dataset> <query-file> [--window=w] "
-           "[--directed] [--labels=file] [--limit_ms=T] [--threads=N] "
-           "[--shards=N] [--engine=tcm|timing|symbi|local] [--print] "
-           "[--canonical] [--metrics[=on|off]] [--stats-every=N] "
-           "[--trace-out=FILE]\n";
+  const FlagSet flags(args, {"window", "directed", "labels", "limit_ms",
+                             "threads", "shards", "engine", "print",
+                             "canonical", "metrics", "stats-every",
+                             "trace-out"});
+  if (BadUsage(flags, flags.positional().size() == 2, "run",
+               "usage: tcsm run <dataset> <query-file> [--window=w] "
+               "[--directed] [--labels=file] [--limit_ms=T] [--threads=N] "
+               "[--shards=N] [--engine=tcm|timing|symbi|local] [--print] "
+               "[--canonical] [--metrics[=on|off]] [--stats-every=N] "
+               "[--trace-out=FILE]\n",
+               out)) {
     return 2;
   }
   TelHeader header;
@@ -757,14 +790,19 @@ int CmdRun(const Args& args, std::ostream& out) {
 }
 
 int CmdReplay(const Args& args, std::ostream& out) {
-  const FlagSet flags(args);
-  if (flags.positional().size() < 2) {
-    out << "usage: tcsm replay <stream.tel|-> <query-file>... [--window=w] "
-           "[--threads=N] [--shards=N] [--max-events=N] [--limit_ms=T] "
-           "[--engine=tcm|timing|symbi|local] [--print] [--canonical] "
-           "[--json] [--seek-ts=T] [--flight-record=N --flight-dump=FILE "
-           "[--flight-format=text|binary]] [--metrics[=on|off]] "
-           "[--stats-every=N] [--trace-out=FILE]\n";
+  const FlagSet flags(
+      args, {"window", "threads", "shards", "max-events", "limit_ms",
+             "engine", "print", "canonical", "json", "seek-ts",
+             "flight-record", "flight-dump", "flight-format", "metrics",
+             "stats-every", "trace-out"});
+  if (BadUsage(flags, flags.positional().size() >= 2, "replay",
+               "usage: tcsm replay <stream.tel|-> <query-file>... "
+               "[--window=w] [--threads=N] [--shards=N] [--max-events=N] "
+               "[--limit_ms=T] [--engine=tcm|timing|symbi|local] [--print] "
+               "[--canonical] [--json] [--seek-ts=T] [--flight-record=N "
+               "--flight-dump=FILE [--flight-format=text|binary]] "
+               "[--metrics[=on|off]] [--stats-every=N] [--trace-out=FILE]\n",
+               out)) {
     return 2;
   }
   const std::string stream_path = flags.positional()[0];
@@ -861,8 +899,12 @@ int CmdReplay(const Args& args, std::ostream& out) {
     if (flags.Has("print")) {
       // Single-query output is byte-compatible with `run --print`; with
       // several queries each line is prefixed by its query index.
-      const std::string prefix =
-          queries.size() == 1 ? "" : "q" + std::to_string(i) + " ";
+      // (Appended piecewise: "q" + to_string(i) trips a GCC 12
+      // -Wrestrict false positive under -Werror.)
+      std::string prefix;
+      if (queries.size() > 1) {
+        prefix.append("q").append(std::to_string(i)).append(" ");
+      }
       owned_sinks.push_back(std::make_unique<StreamPrintSink>(out, prefix));
       sink = owned_sinks.back().get();
     }
@@ -1024,13 +1066,14 @@ int CmdReplay(const Args& args, std::ostream& out) {
 }
 
 int CmdSnapshot(const Args& args, std::ostream& out) {
-  const FlagSet flags(args);
-  if (flags.positional().size() != 2) {
-    out << "usage: tcsm snapshot <dataset> <query-file> [--window=w] "
-           "[--directed] [--labels=file] [--limit_ms=T] [--print]\n";
+  const FlagSet flags(args,
+                      {"window", "directed", "labels", "limit_ms", "print"});
+  if (BadUsage(flags, flags.positional().size() == 2, "snapshot",
+               "usage: tcsm snapshot <dataset> <query-file> [--window=w] "
+               "[--directed] [--labels=file] [--limit_ms=T] [--print]\n",
+               out)) {
     return 2;
   }
-  if (RejectObsFlags(flags, "snapshot", out)) return 2;
   const auto ds = LoadDataset(flags, flags.positional()[0], out);
   if (!ds) return 1;
   const auto q = LoadQuery(flags.positional()[1], out);

@@ -8,8 +8,11 @@
 // labels come from the file) or legacy SNAP-style edge lists (directed
 // via --directed, labels via --labels=<file>).
 //
-// A numeric flag must parse in full: `--vertices=12abc` makes the
-// command throw std::invalid_argument, which Main reports as
+// Each command accepts exactly the flags its usage line names: any other
+// `--flag` prints `error: unknown flag --flag` and the usage line, and
+// the command returns 2 before doing any work. A numeric flag must parse
+// in full: `--vertices=12abc` makes the command throw
+// std::invalid_argument, which Main reports as
 // `error: --vertices expects an integer, got '12abc'` with exit 2.
 #ifndef TCSM_CLI_COMMANDS_H_
 #define TCSM_CLI_COMMANDS_H_

@@ -90,10 +90,11 @@ struct EngineCounters {
   /// Scan-selectivity counters for the label-partitioned adjacency:
   /// `adj_entries_scanned` counts adjacency entries visited during index
   /// maintenance and enumeration scans, `adj_entries_matched` those that
-  /// passed all static (label + direction) checks at the scan site. With
-  /// partitioned storage scanned tracks matched closely; a flat scan
-  /// (TcmConfig::partitioned_adjacency = false) visits every incident
-  /// entry, so the gap measures the partitioning win.
+  /// passed all static (label + direction) checks at the scan site. A
+  /// bucket scan visits only entries of the wanted labels, so on
+  /// undirected graphs the two are equal for TCM; on directed graphs the
+  /// gap counts the wrong-direction entries that the Bloom pre-filter
+  /// could not rule out.
   uint64_t adj_entries_scanned = 0;
   uint64_t adj_entries_matched = 0;
 };

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/engine.h"
 #include "graph/temporal_graph.h"
 #include "query/query_graph.h"
@@ -42,7 +43,13 @@ class SharedStreamContext {
   SharedStreamContext& operator=(const SharedStreamContext&) = delete;
 
   /// The canonical windowed graph. Engines bind to this at construction.
-  const TemporalGraph& graph() const { return g_; }
+  /// A sharded context (at any shard count) stores its graph in shards
+  /// and keeps no canonical copy, so calling this there is a CHECK
+  /// failure: its engines bind to ShardedStreamContext::view() instead.
+  const TemporalGraph& graph() const {
+    TCSM_CHECK(canonical_ && "a sharded context's engines bind to view()");
+    return g_;
+  }
 
   /// Registers an engine constructed against graph(). The engine must
   /// outlive all subsequent event processing; it is notified in attach
@@ -128,6 +135,11 @@ class SharedStreamContext {
   virtual TemporalEdge CaptureExpiry(const TemporalEdge& ed) const;
   virtual void ApplyRemoval(const TemporalEdge& ed) { g_.RemoveEdge(ed.id); }
 
+  /// For a subclass whose mutation hooks write other storage (the sharded
+  /// context): graph() then CHECK-fails instead of handing an engine a
+  /// graph that never receives an edge.
+  void RetireCanonicalGraph() { canonical_ = false; }
+
   /// Cached observability handles for subclass seams; null when the run
   /// carries no bundle (the default), in which case instrumented sites
   /// must do nothing.
@@ -136,6 +148,7 @@ class SharedStreamContext {
 
  private:
   TemporalGraph g_;
+  bool canonical_ = true;  // false once RetireCanonicalGraph() ran
   std::vector<ContinuousEngine*> engines_;
   Deadline* deadline_ = nullptr;
   Observability* obs_ = nullptr;

@@ -34,8 +34,7 @@ template <typename GraphT>
 BasicTcmEngine<GraphT>::BasicTcmEngine(const QueryGraph& query,
                                        const GraphT& graph, TcmConfig config)
     : query_(query),
-      dag_q_(config.use_best_dag ? QueryDag::BuildBestDag(query_)
-                                 : QueryDag::BuildDagGreedy(query_, 0)),
+      dag_q_(QueryDag::BuildBestDag(query_)),
       dag_r_(dag_q_.Reversed()),
       config_(config),
       g_(graph),
@@ -43,14 +42,8 @@ BasicTcmEngine<GraphT>::BasicTcmEngine(const QueryGraph& query,
   TCSM_CHECK(query_.Validate().ok());
   TCSM_CHECK(query_.directed() == g_.directed());
   if (config_.use_tc_filter) {
-    filter_q_ = std::make_unique<BasicMaxMinIndex<GraphT>>(
-        &g_, &dag_q_, config_.partitioned_adjacency,
-        config_.use_bloom_prefilter);
-    if (config_.use_reverse_filter) {
-      filter_r_ = std::make_unique<BasicMaxMinIndex<GraphT>>(
-          &g_, &dag_r_, config_.partitioned_adjacency,
-          config_.use_bloom_prefilter);
-    }
+    filter_q_ = std::make_unique<BasicMaxMinIndex<GraphT>>(&g_, &dag_q_);
+    filter_r_ = std::make_unique<BasicMaxMinIndex<GraphT>>(&g_, &dag_r_);
   }
   vmap_.assign(query_.NumVertices(), kInvalidVertex);
   emap_.assign(query_.NumEdges(), kInvalidEdge);
@@ -131,10 +124,10 @@ void BasicTcmEngine<GraphT>::UpdateStructures(const TemporalEdge& ed,
   if (config_.use_tc_filter) {
     if (inserting) {
       filter_q_->OnEdgeInserted(ed, &touched_q_);
-      if (filter_r_ != nullptr) filter_r_->OnEdgeInserted(ed, &touched_r_);
+      filter_r_->OnEdgeInserted(ed, &touched_r_);
     } else {
       filter_q_->OnEdgeRemoved(ed, &touched_q_);
-      if (filter_r_ != nullptr) filter_r_->OnEdgeRemoved(ed, &touched_r_);
+      filter_r_->OnEdgeRemoved(ed, &touched_r_);
     }
   }
 
@@ -158,14 +151,22 @@ void BasicTcmEngine<GraphT>::UpdateStructures(const TemporalEdge& ed,
   // Pairs whose filter gate changed: edges entering u, incident to v
   // (the matchability of (e, e') is read at the child endpoint of e).
   // Only entries whose (edge label, neighbor label) signature equals qe's
-  // can pass StaticFeasible, so the partitioned scan visits exactly the
-  // candidate bucket.
+  // can pass StaticFeasible, so the scan visits exactly that bucket.
   auto rescan = [&](const QueryDag& dag, const std::vector<UvPair>& touched) {
     for (const UvPair& uv : touched) {
       for (const EdgeId qe : dag.ParentEdges(uv.u)) {
         const QueryEdge& q = query_.Edge(qe);
-        const VertexId other_qv = (q.u == uv.u) ? q.v : q.u;
-        auto visit = [&](const AdjEntry& a) {
+        const Label nbr_label = query_.VertexLabel(q.u == uv.u ? q.v : q.u);
+        // Pre-filter: only flip == false survives StaticFeasible on
+        // directed graphs, which pins the data edge's direction at v
+        // (v images the child endpoint uv.u). A bucket holding no entry
+        // of that direction cannot contribute a triple.
+        if (!g_.MayHaveMatching(uv.v, q.elabel, nbr_label,
+                                /*want_out=*/uv.u == q.u)) {
+          continue;
+        }
+        for (const AdjEntry& a :
+             g_.NeighborsMatching(uv.v, q.elabel, nbr_label)) {
           ++counters_.adj_entries_scanned;
           // EdgeNear: the record read stays local to uv.v's shard under a
           // sharded view (the scan came off uv.v's adjacency).
@@ -174,31 +175,13 @@ void BasicTcmEngine<GraphT>::UpdateStructures(const TemporalEdge& ed,
           const bool flip = (uv.u == q.u) ? (de.src != uv.v)
                                           : (de.dst != uv.v);
           if (add_triple(qe, de, flip)) ++counters_.adj_entries_matched;
-        };
-        if (config_.partitioned_adjacency) {
-          const Label nbr_label = query_.VertexLabel(other_qv);
-          // Pre-filter: only flip == false survives StaticFeasible on
-          // directed graphs, which pins the data edge's direction at v
-          // (v images the child endpoint uv.u). A bucket holding no
-          // entry of that direction cannot contribute a triple.
-          if (config_.use_bloom_prefilter &&
-              !g_.MayHaveMatching(uv.v, q.elabel, nbr_label,
-                                  /*want_out=*/uv.u == q.u)) {
-            continue;
-          }
-          for (const AdjEntry& a :
-               g_.NeighborsMatching(uv.v, q.elabel, nbr_label)) {
-            visit(a);
-          }
-        } else {
-          g_.ForEachNeighbor(uv.v, visit);
         }
       }
     }
   };
   if (config_.use_tc_filter) {
     rescan(dag_q_, touched_q_);
-    if (filter_r_ != nullptr) rescan(dag_r_, touched_r_);
+    rescan(dag_r_, touched_r_);
   }
 
   for (const Triple& t : triple_list_) {
@@ -209,8 +192,7 @@ void BasicTcmEngine<GraphT>::UpdateStructures(const TemporalEdge& ed,
     const bool matchable =
         alive && (!config_.use_tc_filter ||
                   (filter_q_->CheckMatchable(t.qe, de, t.flip) &&
-                   (filter_r_ == nullptr ||
-                    filter_r_->CheckMatchable(t.qe, de, t.flip))));
+                   filter_r_->CheckMatchable(t.qe, de, t.flip)));
     const bool present = dcs_.Contains(t.qe, de.id, t.flip);
     if (matchable && !present) {
       dcs_.Insert(t.qe, de, t.flip);
@@ -224,10 +206,8 @@ void BasicTcmEngine<GraphT>::UpdateStructures(const TemporalEdge& ed,
   if (config_.use_tc_filter) {
     filter_q_->DrainScanCounters(&counters_.adj_entries_scanned,
                                  &counters_.adj_entries_matched);
-    if (filter_r_ != nullptr) {
-      filter_r_->DrainScanCounters(&counters_.adj_entries_scanned,
-                                   &counters_.adj_entries_matched);
-    }
+    filter_r_->DrainScanCounters(&counters_.adj_entries_scanned,
+                                 &counters_.adj_entries_matched);
   }
 }
 

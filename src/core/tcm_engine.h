@@ -41,17 +41,16 @@
 
 namespace tcsm {
 
+/// The knobs the paper's own measurements vary: the TC-matchable-edge
+/// filter (Table V) and the pruning techniques of Section V (Fig. 11).
+/// Everything else the paper prescribes is always on: filtering with both
+/// q̂ and q̂⁻¹ (Section IV-A), the best-scoring DAG root (Algorithm 1
+/// lines 1-6), and bucket scans of the label-partitioned adjacency behind
+/// the graph's Bloom signature masks.
 struct TcmConfig {
   /// TC-matchable edge filtering (Section IV). Off = DCS holds every
   /// statically feasible pair, as in SymBi; used for the Table V ablation.
   bool use_tc_filter = true;
-  /// Also filter with the reverse DAG q̂⁻¹ (Section IV-A, last paragraph).
-  /// Off = forward direction only; an ablation of that design choice.
-  bool use_reverse_filter = true;
-  /// Pick the query DAG with the highest Algorithm-2 score over all roots
-  /// (Algorithm 1 lines 1-6). Off = greedy DAG from vertex 0; an ablation
-  /// of the root-selection heuristic.
-  bool use_best_dag = true;
   /// Pruning technique 1 (no temporally related edges remain).
   bool prune_no_relation = true;
   /// Pruning technique 2 (uniform relation, monotone skip).
@@ -67,20 +66,6 @@ struct TcmConfig {
   /// — this is the ablation knob proving the pruning win. No-op for
   /// queries without gap constraints.
   bool prune_gap_bounds = true;
-  /// Enumerate only the (edge label, neighbor label) adjacency bucket a
-  /// query edge can match (TemporalGraph::NeighborsMatching) during filter
-  /// recomputation and DCS rescans. Off = visit every incident entry and
-  /// filter inline, the pre-partitioning storage behavior; kept as an
-  /// ablation for bench_storage_scaling.
-  bool partitioned_adjacency = true;
-  /// Consult the graph's per-vertex Bloom signature masks
-  /// (TemporalGraph::MayHaveMatching) before every partitioned bucket scan
-  /// of the filter recomputation and the DCS rescan, skipping scans that
-  /// provably yield no matching entry (direction-aware on directed
-  /// graphs). Never changes results — the filter has no false negatives —
-  /// only the adj_entries_scanned work. Kept as an ablation knob; no-op
-  /// without partitioned_adjacency.
-  bool use_bloom_prefilter = true;
 };
 
 /// The engine is a template over the graph type: the matching code is
@@ -88,7 +73,7 @@ struct TcmConfig {
 /// sharded view routing every per-vertex read to the owning shard
 /// (src/shard/sharded_graph.h). GraphT must expose the TemporalGraph
 /// read surface: VertexLabel, directed, MayHaveMatching,
-/// NeighborsMatching, ForEachNeighbor, EdgeNear, AliveEdge. `TcmEngine`
+/// NeighborsMatching, EdgeNear, AliveEdge. `TcmEngine`
 /// below is the canonical instantiation every single-graph call site
 /// keeps using.
 template <typename GraphT>

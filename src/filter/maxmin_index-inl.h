@@ -15,14 +15,8 @@ namespace tcsm {
 
 template <typename GraphT>
 BasicMaxMinIndex<GraphT>::BasicMaxMinIndex(const GraphT* graph,
-                                           const QueryDag* dag,
-                                           bool partitioned_adjacency,
-                                           bool bloom_prefilter)
-    : graph_(graph),
-      dag_(dag),
-      query_(&dag->query()),
-      partitioned_(partitioned_adjacency),
-      prefilter_(bloom_prefilter) {
+                                           const QueryDag* dag)
+    : graph_(graph), dag_(dag), query_(&dag->query()) {
   entries_.resize(query_->NumVertices());
   dirty_.resize(query_->NumVertices());
 }
@@ -70,10 +64,6 @@ auto BasicMaxMinIndex<GraphT>::ComputeEntry(VertexId u, VertexId v) -> Entry {
     bool branch_weak = false;
 
     ScanNeighbors(v, qf.elabel, want_vlabel, need_out, [&](const AdjEntry& a) {
-      if (a.elabel != qf.elabel) return;
-      if (graph_->VertexLabel(a.nbr) != want_vlabel) return;
-      if (graph_->directed() && a.out != need_out) return;
-      ++matched_;
       // Pull the child entry (lazily computed). Note: GetEntry may insert
       // into entries_[uc]; safe because `entry` lives on our stack.
       const Entry& child = GetEntry(uc, a.nbr);
@@ -165,14 +155,8 @@ void BasicMaxMinIndex<GraphT>::ProcessDirty(std::vector<UvPair>* touched) {
         const bool nbr_out = qpe.u == up;  // data edge leaves the parent
         // From v's side the wanted entries point *toward* the parent, so
         // the direction constraint is the inverse of nbr_out.
-        ScanNeighbors(v, qpe.elabel, want, !nbr_out, [&](const AdjEntry& a) {
-          if (a.elabel != qpe.elabel) return;
-          if (graph_->VertexLabel(a.nbr) != want) return;
-          // From v's perspective the edge direction is inverted.
-          if (graph_->directed() && a.out == nbr_out) return;
-          ++matched_;
-          MarkDirty(up, a.nbr);
-        });
+        ScanNeighbors(v, qpe.elabel, want, !nbr_out,
+                      [&](const AdjEntry& a) { MarkDirty(up, a.nbr); });
       }
     }
   }

@@ -64,24 +64,18 @@ bool StaticFeasible(const QueryGraph& query, const GraphT& graph, EdgeId qe,
 /// code runs against the canonical single graph and against a sharded
 /// read view (src/shard/sharded_graph.h) — the view exposes the same
 /// adjacency surface (VertexLabel / directed / MayHaveMatching /
-/// NeighborsMatching / ForEachNeighbor), just routed to the owning
-/// shard. `MaxMinIndex` below is the canonical instantiation.
+/// NeighborsMatching), just routed to the owning shard. `MaxMinIndex`
+/// below is the canonical instantiation.
 template <typename GraphT>
 class BasicMaxMinIndex {
  public:
   /// `graph` and `dag` must outlive the index. The graph must be the
   /// engine's live windowed graph; the index reads adjacency lazily.
-  /// With `partitioned_adjacency` (the default) entry recomputation scans
-  /// only the (edge label, neighbor label) bucket each DAG edge can match;
-  /// without it every incident entry is visited and filtered inline — the
-  /// pre-partitioning behavior, kept as a measurable ablation. With
-  /// `bloom_prefilter` (the default, partitioned mode only) each bucket
-  /// scan first consults the graph's per-vertex direction-aware Bloom
-  /// signature and is skipped outright when no entry can match — the
-  /// scan counters then record zero visits for it.
-  BasicMaxMinIndex(const GraphT* graph, const QueryDag* dag,
-                   bool partitioned_adjacency = true,
-                   bool bloom_prefilter = true);
+  /// Entry recomputation scans only the (edge label, neighbor label)
+  /// bucket each DAG edge can match, and skips a bucket outright when the
+  /// graph's per-vertex direction-aware Bloom signature shows no entry
+  /// can match — the scan counters then record zero visits for it.
+  BasicMaxMinIndex(const GraphT* graph, const QueryDag* dag);
 
   /// Incremental update after `ed` was inserted into the graph
   /// (TCMInsertion). Appends to `touched` the entries whose gate values
@@ -143,39 +137,27 @@ class BasicMaxMinIndex {
   void ProcessDirty(std::vector<UvPair>* touched);
 
   /// Invokes `fn(entry)` for the entries of v's (elabel, nbr_label)
-  /// bucket (partitioned mode) or for every incident entry (flat mode),
-  /// maintaining the scan counter either way. `want_out` is the required
-  /// entry direction from v's perspective (ignored on undirected graphs):
-  /// the caller still re-checks it per entry, but the Bloom pre-filter
-  /// uses it to skip buckets holding only wrong-direction entries. The
-  /// skip is sound because a scan whose every entry fails the direction
-  /// check has no effect besides incrementing the scan counter.
+  /// bucket whose direction from v's perspective is `want_out` (every
+  /// entry on undirected graphs), counting each visited entry as scanned
+  /// and each passed to `fn` as matched. The Bloom pre-filter skips
+  /// buckets holding only wrong-direction entries; the skip is sound
+  /// because such a scan has no effect besides the scan counter.
   template <typename Fn>
   void ScanNeighbors(VertexId v, Label elabel, Label nbr_label,
                      bool want_out, Fn&& fn) {
-    if (partitioned_) {
-      if (prefilter_ &&
-          !graph_->MayHaveMatching(v, elabel, nbr_label, want_out)) {
-        return;
-      }
-      for (const AdjEntry& a : graph_->NeighborsMatching(v, elabel,
-                                                         nbr_label)) {
-        ++scanned_;
-        fn(a);
-      }
-    } else {
-      graph_->ForEachNeighbor(v, [&](const AdjEntry& a) {
-        ++scanned_;
-        fn(a);
-      });
+    if (!graph_->MayHaveMatching(v, elabel, nbr_label, want_out)) return;
+    for (const AdjEntry& a : graph_->NeighborsMatching(v, elabel,
+                                                       nbr_label)) {
+      ++scanned_;
+      if (graph_->directed() && a.out != want_out) continue;
+      ++matched_;
+      fn(a);
     }
   }
 
   const GraphT* graph_;
   const QueryDag* dag_;
   const QueryGraph* query_;
-  const bool partitioned_;
-  const bool prefilter_;
   uint64_t scanned_ = 0;
   uint64_t matched_ = 0;
 

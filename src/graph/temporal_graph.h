@@ -19,8 +19,7 @@
 //    code enumerates only the statically feasible bucket via
 //    NeighborsMatching(v, elabel, nbr_label), so per-event work is
 //    proportional to selectivity instead of degree. ForEachNeighbor
-//    iterates all buckets (the flat-scan equivalent, used by the oracle
-//    and the storage ablation).
+//    iterates all buckets (the flat scan the oracle uses).
 //
 // See DESIGN.md §7 for the layout, iteration-order guarantees, and the
 // deferred-reclamation rule that keeps a removed edge's record readable
@@ -203,8 +202,8 @@ class TemporalGraph {
   }
 
   /// All live incident edges of `v` — every bucket in turn, chronological
-  /// within a bucket but unordered across buckets. This is the flat-scan
-  /// equivalent of the pre-partitioned layout (storage ablation, oracle).
+  /// within a bucket but unordered across buckets: the flat scan the
+  /// brute-force oracle and the storage tests use.
   template <typename Fn>
   void ForEachNeighbor(VertexId v, Fn&& fn) const {
     for (const auto& [sig, bucket] : adj_[v].buckets) {

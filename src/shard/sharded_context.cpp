@@ -21,10 +21,14 @@ void RemoveFrom(TemporalGraph* g, const TemporalEdge& ed) {
 ShardedStreamContext::ShardedStreamContext(const GraphSchema& schema,
                                            size_t num_shards,
                                            size_t num_threads)
-    : ParallelStreamContext(schema,
+    // The base class's canonical graph is never written, so it gets no
+    // vertex set to label, and RetireCanonicalGraph() below makes graph()
+    // CHECK-fail.
+    : ParallelStreamContext(GraphSchema{schema.directed, {}},
                             num_threads == 0 ? num_shards : num_threads),
       partitioner_(std::make_unique<HashVertexPartitioner>(num_shards)),
       summaries_(schema.vertex_labels.size(), schema.directed) {
+  RetireCanonicalGraph();
   graphs_.reserve(num_shards);
   std::vector<const TemporalGraph*> borrowed;
   borrowed.reserve(num_shards);

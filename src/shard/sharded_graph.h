@@ -67,11 +67,6 @@ class ShardedGraphView {
     return OwnerGraph(v).NeighborsMatching(v, elabel, nbr_label);
   }
 
-  template <typename Fn>
-  void ForEachNeighbor(VertexId v, Fn&& fn) const {
-    OwnerGraph(v).ForEachNeighbor(v, std::forward<Fn>(fn));
-  }
-
   /// Edge record lookup during a scan anchored at v: the owner of v
   /// stores every edge incident to v, so the read stays on v's shard.
   const TemporalEdge& EdgeNear(VertexId v, EdgeId id) const {

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -528,18 +530,96 @@ TEST(Cli, ParallelismFlagsAreCapped) {
                              "of 256"),
               std::string::npos)
         << run.str();
-    EXPECT_EQ(run.str().find("events="), std::string::npos) << run.str();
+    EXPECT_EQ(run.str().find("occurred="), std::string::npos) << run.str();
     std::ostringstream replay;
     EXPECT_EQ(CmdReplay({tel, query, flag}, replay), 1) << flag;
     EXPECT_NE(replay.str().find("error: " + name + "=257 exceeds the "
                                 "maximum of 256"),
               std::string::npos)
         << replay.str();
-    EXPECT_EQ(replay.str().find("events="), std::string::npos)
+    EXPECT_EQ(replay.str().find("occurred="), std::string::npos)
         << replay.str();
   }
   std::remove(tel.c_str());
   std::remove(query.c_str());
+}
+
+TEST(Cli, UnknownFlagIsAUsageError) {
+  // A typo'd flag must not silently change the run: `--thread=4` would
+  // otherwise replay serially with exit 0. Both streaming subcommands
+  // name the flag, print their usage line and exit 2 before any work.
+  const std::string tel = TmpPath("cli_typo.tel");
+  {
+    std::ofstream f(tel);
+    f << "tel 1 undirected vertices=3 window=5\ne 0 1 1\ne 1 2 2\n";
+  }
+  const std::string query = TmpPath("cli_typo.tq");
+  {
+    std::ofstream f(query);
+    f << "t 2 1\nv 0 0\nv 1 0\ne 0 0 1\n";
+  }
+  std::ostringstream run;
+  EXPECT_EQ(CmdRun({tel, query, "--print", "--shard=2"}, run), 2);
+  EXPECT_EQ(run.str().rfind("error: unknown flag --shard\nusage: tcsm run ",
+                            0),
+            0u)
+      << run.str();
+  EXPECT_EQ(run.str().find("occurred="), std::string::npos) << run.str();
+
+  std::ostringstream replay;
+  EXPECT_EQ(CmdReplay({tel, query, query, "--print", "--thread=4"}, replay),
+            2);
+  EXPECT_EQ(replay.str().rfind(
+                "error: unknown flag --thread\nusage: tcsm replay ", 0),
+            0u)
+      << replay.str();
+  EXPECT_EQ(replay.str().find("occurred="), std::string::npos)
+      << replay.str();
+
+  // Through Main, the exit code reaches the shell unchanged.
+  const char* argv[] = {"tcsm", "replay", tel.c_str(), query.c_str(),
+                        "--thread=4"};
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(Main(5, const_cast<char**>(argv), out, err), 2);
+  EXPECT_EQ(out.str().rfind("error: unknown flag --thread\n", 0), 0u);
+  std::remove(tel.c_str());
+  std::remove(query.c_str());
+}
+
+TEST(Cli, EveryFlagInAUsageLineIsAccepted) {
+  // The accepted-flag lists and the usage lines are written separately;
+  // every flag a usage line advertises must pass the unknown-flag check.
+  // With no positional arguments each command stops at its usage line,
+  // so no flag value is parsed and no work starts.
+  using Cmd = int (*)(const Args&, std::ostream&);
+  const std::vector<std::pair<std::string, Cmd>> commands = {
+      {"stats", CmdStats},       {"gen", CmdGen},
+      {"convert", CmdConvert},   {"gen-data", CmdGenData},
+      {"gen-query", CmdGenQuery}, {"run", CmdRun},
+      {"replay", CmdReplay},     {"snapshot", CmdSnapshot}};
+  const std::regex flag_re("--([a-z_-]+)");
+  for (const auto& [name, cmd] : commands) {
+    std::ostringstream usage;
+    ASSERT_EQ(cmd({}, usage), 2) << name;
+    ASSERT_EQ(usage.str().rfind("usage: tcsm " + name + " ", 0), 0u)
+        << usage.str();
+    std::set<std::string> flags;
+    const std::string text = usage.str();
+    for (std::sregex_iterator it(text.begin(), text.end(), flag_re), end;
+         it != end; ++it) {
+      flags.insert((*it)[1]);
+    }
+    EXPECT_FALSE(flags.empty()) << name;
+    if (name == "replay") {
+      EXPECT_EQ(flags.count("json"), 1u);  // perfbench's `replay --json`
+    }
+    for (const std::string& flag : flags) {
+      std::ostringstream out;
+      EXPECT_EQ(cmd({"--" + flag}, out), 2) << name << " --" << flag;
+      EXPECT_EQ(out.str(), text) << name << " --" << flag;
+    }
+  }
 }
 
 TEST(Cli, MainDispatch) {

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "common/rng.h"
 #include "graph/temporal_graph.h"
 #include "testlib/running_example.h"
 
@@ -235,6 +236,54 @@ TEST(TemporalGraph, VertexSigAccessorsMirrorMayHaveMatching) {
             g.MayHaveMatching(a, 7, 1, /*want_out=*/true));
   EXPECT_FALSE(g.VertexSigIn(a).MayContain(PackPair(7, 1)));
   EXPECT_FALSE(g.MayHaveMatching(a, 7, 1, /*want_out=*/false));
+}
+
+TEST(TemporalGraph, BloomMasksCoverEveryLiveEntryUnderChurn) {
+  // MayHaveMatching gates every bucket scan of the TCM filter and DCS
+  // rescan, so a false negative would silently drop matches. Random
+  // insert/remove churn (removals in any order, so buckets empty and the
+  // masks are re-derived) must keep every live entry covered, in the
+  // entry's own direction.
+  for (const bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    TemporalGraph g(directed);
+    constexpr size_t kVertices = 12;
+    for (size_t v = 0; v < kVertices; ++v) g.AddVertex(v % 3);
+    Rng rng(directed ? 7 : 8);
+    std::vector<EdgeId> live;
+    for (Timestamp t = 1; t <= 400; ++t) {
+      if (live.empty() || rng.NextBool(0.55)) {
+        const auto src = static_cast<VertexId>(rng.NextBounded(kVertices));
+        auto dst = static_cast<VertexId>(rng.NextBounded(kVertices - 1));
+        if (dst >= src) ++dst;
+        live.push_back(g.InsertEdge(src, dst, t,
+                                    static_cast<Label>(rng.NextBounded(3))));
+      } else {
+        const size_t i = rng.NextBounded(live.size());
+        g.RemoveEdge(live[i]);
+        live[i] = live.back();
+        live.pop_back();
+      }
+      for (VertexId v = 0; v < kVertices; ++v) {
+        g.ForEachNeighbor(v, [&](const AdjEntry& a) {
+          EXPECT_TRUE(g.MayHaveMatching(v, a.elabel, g.VertexLabel(a.nbr),
+                                        a.out))
+              << "t=" << t << " v=" << v << " edge=" << a.edge;
+        });
+      }
+      if (HasFailure()) return;
+    }
+    // Once every edge is gone the re-derived masks are empty again.
+    for (const EdgeId id : live) g.RemoveEdge(id);
+    for (VertexId v = 0; v < kVertices; ++v) {
+      for (Label el = 0; el < 3; ++el) {
+        for (Label nl = 0; nl < 3; ++nl) {
+          EXPECT_FALSE(g.MayHaveMatching(v, el, nl, /*want_out=*/true));
+          EXPECT_FALSE(g.MayHaveMatching(v, el, nl, /*want_out=*/false));
+        }
+      }
+    }
+  }
 }
 
 TEST(TemporalGraph, ClearEdgesKeepsVerticesAndRestartsIds) {

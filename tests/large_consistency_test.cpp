@@ -79,18 +79,6 @@ TEST_P(LargeConsistency, AllEnginesAgreeOnCounts) {
     e.engine().dcs().ValidateInvariantsForTest();
   }
   {
-    TcmConfig c;
-    c.use_reverse_filter = false;
-    SingleQueryContext<TcmEngine> e(q, schema, c);
-    EXPECT_EQ(run(&e), expect) << "forward-filter-only";
-  }
-  {
-    TcmConfig c;
-    c.use_best_dag = false;
-    SingleQueryContext<TcmEngine> e(q, schema, c);
-    EXPECT_EQ(run(&e), expect) << "fixed-dag-root";
-  }
-  {
     SingleQueryContext<PostFilterEngine> e(q, schema);
     EXPECT_EQ(run(&e), expect) << "SymBi-Post";
   }

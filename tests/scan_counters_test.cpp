@@ -1,9 +1,8 @@
 // Scan-selectivity counters (adj_entries_scanned / adj_entries_matched):
-// the measurable surface of the label-partitioned adjacency. The flat-scan
-// ablation (TcmConfig::partitioned_adjacency = false) visits every
-// incident entry, the partitioned default only the statically feasible
-// bucket — the matched counts must agree exactly (same verdicts, different
-// work) and the match streams must be identical.
+// the measurable surface of the label-partitioned adjacency. TCM scans
+// only the statically feasible (edge label, neighbor label) bucket, so
+// every visited entry passes the label checks; only a directed bucket's
+// wrong-direction entries are scanned without matching.
 #include <gtest/gtest.h>
 
 #include "baselines/local_enum_engine.h"
@@ -47,30 +46,15 @@ Workload ManyLabelWorkload() {
   return w;
 }
 
-TEST(ScanCounters, PartitionedScansLessMatchesSame) {
+TEST(ScanCounters, BucketScansVisitOnlyFeasibleEntries) {
+  // Undirected buckets hold exactly the entries of one signature, so
+  // every scanned entry matches.
   const Workload w = ManyLabelWorkload();
-
-  TcmConfig flat;
-  flat.partitioned_adjacency = false;
-  SingleQueryContext<TcmEngine> flat_run(w.query, w.schema, flat);
-  const StreamResult flat_res = RunStream(w.dataset, w.config, &flat_run);
-  ASSERT_TRUE(flat_res.completed);
-
-  SingleQueryContext<TcmEngine> part_run(w.query, w.schema);
-  const StreamResult part_res = RunStream(w.dataset, w.config, &part_run);
-  ASSERT_TRUE(part_res.completed);
-
-  // Identical results either way.
-  EXPECT_EQ(flat_res.occurred, part_res.occurred);
-  EXPECT_EQ(flat_res.expired, part_res.expired);
-  // The same entries pass the static checks in both modes...
-  EXPECT_EQ(flat_res.adj_entries_matched, part_res.adj_entries_matched);
-  // ...but the flat scan visits every incident entry to find them. With 6
-  // vertex and 3 edge labels most entries are infeasible, so the gap is
-  // strict (this is the partitioning win the bench quantifies).
-  EXPECT_GT(flat_res.adj_entries_scanned, part_res.adj_entries_scanned);
-  EXPECT_GE(part_res.adj_entries_scanned, part_res.adj_entries_matched);
-  EXPECT_GT(part_res.adj_entries_scanned, 0u);
+  SingleQueryContext<TcmEngine> run(w.query, w.schema);
+  const StreamResult res = RunStream(w.dataset, w.config, &run);
+  ASSERT_TRUE(res.completed);
+  EXPECT_GT(res.adj_entries_scanned, 0u);
+  EXPECT_EQ(res.adj_entries_scanned, res.adj_entries_matched);
 }
 
 TEST(ScanCounters, SurfaceThroughEngineCountersAndAggregation) {
@@ -100,108 +84,6 @@ TEST(ScanCounters, BaselineEnginesCountTheirScans) {
     ASSERT_TRUE(res.completed);
     EXPECT_GE(res.adj_entries_scanned, res.adj_entries_matched);
   }
-}
-
-TEST(ScanCounters, BloomPrefilterSkipsWrongDirectionScansMatchesSame) {
-  // Directed multi-label stream: adjacency buckets mix both orientations,
-  // so some bucket scans visit only wrong-direction entries and match
-  // nothing. The direction-aware Bloom masks skip exactly those scans —
-  // the matched count is untouched while the scanned count strictly
-  // drops.
-  SyntheticSpec spec;
-  spec.name = "scan_counters_directed";
-  spec.num_vertices = 40;
-  spec.num_edges = 1200;
-  spec.num_vertex_labels = 4;
-  spec.num_edge_labels = 3;
-  spec.avg_parallel_edges = 1.6;
-  spec.directed = true;
-  spec.seed = 20240722;
-  const TemporalDataset ds = GenerateSynthetic(spec);
-  const GraphSchema schema{ds.directed, ds.vertex_labels};
-  StreamConfig config;
-  config.window = 60;
-  QueryGenOptions opt;
-  opt.num_edges = 4;
-  opt.density = 0.5;
-  opt.window = config.window;
-  Rng rng(spec.seed);
-  QueryGraph q;
-  ASSERT_TRUE(GenerateQuery(ds, opt, &rng, &q));
-
-  TcmConfig off;
-  off.use_bloom_prefilter = false;
-  SingleQueryContext<TcmEngine> off_run(q, schema, off);
-  const StreamResult off_res = RunStream(ds, config, &off_run);
-  ASSERT_TRUE(off_res.completed);
-
-  SingleQueryContext<TcmEngine> on_run(q, schema);
-  const StreamResult on_res = RunStream(ds, config, &on_run);
-  ASSERT_TRUE(on_res.completed);
-
-  EXPECT_EQ(off_res.occurred, on_res.occurred);
-  EXPECT_EQ(off_res.expired, on_res.expired);
-  EXPECT_EQ(off_res.adj_entries_matched, on_res.adj_entries_matched);
-  EXPECT_LT(on_res.adj_entries_scanned, off_res.adj_entries_scanned);
-  EXPECT_GE(on_res.adj_entries_scanned, on_res.adj_entries_matched);
-}
-
-TEST(ScanCounters, BloomPrefilterIsScanNeutralOnUndirectedStreams) {
-  // Undirected buckets hold no direction mix, so every partitioned scan
-  // the prefilter could skip would have visited zero entries anyway: the
-  // scanned counter must be bit-identical with the prefilter on or off
-  // (the filter only saves the hash-map lookups).
-  const Workload w = ManyLabelWorkload();
-
-  TcmConfig off;
-  off.use_bloom_prefilter = false;
-  SingleQueryContext<TcmEngine> off_run(w.query, w.schema, off);
-  const StreamResult off_res = RunStream(w.dataset, w.config, &off_run);
-  ASSERT_TRUE(off_res.completed);
-
-  SingleQueryContext<TcmEngine> on_run(w.query, w.schema);
-  const StreamResult on_res = RunStream(w.dataset, w.config, &on_run);
-  ASSERT_TRUE(on_res.completed);
-
-  EXPECT_EQ(off_res.adj_entries_scanned, on_res.adj_entries_scanned);
-  EXPECT_EQ(off_res.adj_entries_matched, on_res.adj_entries_matched);
-}
-
-TEST(ScanCounters, SingleLabelStreamScansEqualFlatScan) {
-  // With one vertex label and one edge label every incident entry sits in
-  // the one bucket, so partitioned and flat scans do identical work — the
-  // no-regression half of the storage-scaling acceptance bar.
-  SyntheticSpec spec;
-  spec.name = "scan_counters_unlabeled";
-  spec.num_vertices = 20;
-  spec.num_edges = 400;
-  spec.num_vertex_labels = 1;
-  spec.num_edge_labels = 1;
-  spec.avg_parallel_edges = 1.5;
-  spec.seed = 99;
-  const TemporalDataset ds = GenerateSynthetic(spec);
-  const GraphSchema schema{ds.directed, ds.vertex_labels};
-  StreamConfig config;
-  config.window = 30;
-  QueryGenOptions opt;
-  opt.num_edges = 3;
-  opt.density = 0.5;
-  opt.window = config.window;
-  Rng rng(spec.seed);
-  QueryGraph q;
-  ASSERT_TRUE(GenerateQuery(ds, opt, &rng, &q));
-
-  TcmConfig flat;
-  flat.partitioned_adjacency = false;
-  SingleQueryContext<TcmEngine> flat_run(q, schema, flat);
-  const StreamResult flat_res = RunStream(ds, config, &flat_run);
-
-  SingleQueryContext<TcmEngine> part_run(q, schema);
-  const StreamResult part_res = RunStream(ds, config, &part_run);
-
-  EXPECT_EQ(flat_res.occurred, part_res.occurred);
-  EXPECT_EQ(flat_res.adj_entries_scanned, part_res.adj_entries_scanned);
-  EXPECT_EQ(flat_res.adj_entries_matched, part_res.adj_entries_matched);
 }
 
 }  // namespace

@@ -320,5 +320,19 @@ TEST(ShardedContextTest, UnbatchedEventsAfterABatchReachTheSink) {
   }
 }
 
+TEST(ShardedContextDeathTest, CanonicalGraphIsACheckFailure) {
+  // A sharded context never writes the canonical graph it inherits, so an
+  // engine bound to graph() instead of view() would silently match
+  // nothing. graph() fails loudly instead, at any shard count, while the
+  // view serves the full vertex set.
+  const GraphSchema schema{false, {0, 1, 0, 1}};
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedStreamContext context(schema, shards, /*num_threads=*/1);
+    EXPECT_EQ(context.view().NumVertices(), 4u);
+    EXPECT_DEATH(context.graph(), "bind to view");
+  }
+}
+
 }  // namespace
 }  // namespace tcsm

@@ -54,9 +54,7 @@ TEST(Snapshot, EngineConfigPassesThrough) {
   SnapshotOptions opt;
   opt.engine_config.use_tc_filter = false;
   EXPECT_EQ(CountAllMatches(ds, q, opt).matches, 16u);
-  opt.engine_config.use_best_dag = false;
-  EXPECT_EQ(CountAllMatches(ds, q, opt).matches, 16u);
-  opt.engine_config.use_reverse_filter = false;
+  opt.engine_config.prune_failing_set = false;
   EXPECT_EQ(CountAllMatches(ds, q, opt).matches, 16u);
 }
 
