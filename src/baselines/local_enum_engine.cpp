@@ -68,9 +68,6 @@ void LocalEnumEngine::FindMatches(const TemporalEdge& ed, MatchKind kind) {
       mapped_edges_ = Bit(qe);
       emap_[qe] = ed.id;
       ets_[qe] = ed.ts;
-      used_data_.clear();
-      used_data_.insert(img_u);
-      used_data_.insert(img_v);
       Extend(0);
       if (timed_out_) return;
     }
@@ -137,24 +134,21 @@ void LocalEnumEngine::TryAssign(size_t step, EdgeId qe,
   const bool v_mapped = HasBit(mapped_vertices_, q.v);
   if (u_mapped && vmap_[q.u] != a) return;
   if (v_mapped && vmap_[q.v] != b) return;
-  if (!u_mapped && used_data_.count(a) > 0) return;
-  if (!v_mapped && used_data_.count(b) > 0) return;
+  // Injectivity, read off the partial mapping: a data vertex or edge
+  // already imaged by a mapped position cannot be taken again.
+  if (!u_mapped && MappedTo(mapped_vertices_, vmap_, a)) return;
+  if (!v_mapped && MappedTo(mapped_vertices_, vmap_, b)) return;
   if (!u_mapped && !v_mapped && a == b) return;
-  // The same data edge cannot serve two query edges (edge injectivity).
   if (HasBit(mapped_edges_, qe)) return;
-  for (const uint32_t other : BitRange(mapped_edges_)) {
-    if (emap_[other] == ed.id) return;
-  }
+  if (MappedTo(mapped_edges_, emap_, ed.id)) return;
 
   if (!u_mapped) {
     vmap_[q.u] = a;
     mapped_vertices_ |= Bit(q.u);
-    used_data_.insert(a);
   }
   if (!v_mapped) {
     vmap_[q.v] = b;
     mapped_vertices_ |= Bit(q.v);
-    used_data_.insert(b);
   }
   emap_[qe] = ed.id;
   ets_[qe] = ed.ts;
@@ -163,14 +157,8 @@ void LocalEnumEngine::TryAssign(size_t step, EdgeId qe,
   Extend(step + 1);
 
   mapped_edges_ &= ~Bit(qe);
-  if (!v_mapped) {
-    used_data_.erase(b);
-    mapped_vertices_ &= ~Bit(q.v);
-  }
-  if (!u_mapped) {
-    used_data_.erase(a);
-    mapped_vertices_ &= ~Bit(q.u);
-  }
+  if (!v_mapped) mapped_vertices_ &= ~Bit(q.v);
+  if (!u_mapped) mapped_vertices_ &= ~Bit(q.u);
 }
 
 size_t LocalEnumEngine::EstimateMemoryBytes() const {

@@ -8,7 +8,6 @@
 #define TCSM_BASELINES_LOCAL_ENUM_ENGINE_H_
 
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bitmask.h"
@@ -50,7 +49,6 @@ class LocalEnumEngine : public ContinuousEngine {
   std::vector<Timestamp> ets_;
   Mask64 mapped_vertices_ = 0;
   Mask64 mapped_edges_ = 0;
-  std::unordered_set<VertexId> used_data_;
 };
 
 }  // namespace tcsm

@@ -54,27 +54,19 @@ void PostFilterEngine::FindMatches(const TemporalEdge& ed, MatchKind kind) {
   kind_ = kind;
   timed_out_ = false;
   mapped_vertices_ = 0;
-  used_data_.clear();
   std::fill(vmap_.begin(), vmap_.end(), kInvalidVertex);
   std::fill(emap_.begin(), emap_.end(), kInvalidEdge);
 
-  std::vector<std::pair<EdgeId, bool>> seeds;
-  dcs_.EdgesOf(ed.id, &seeds);
-  for (const auto& [qe, flip] : seeds) {
+  dcs_.Seeds(ed, &seeds_);
+  for (const auto& [qe, flip] : seeds_) {
     const QueryEdge& q = query_.Edge(qe);
-    const VertexId img_u = flip ? ed.dst : ed.src;
-    const VertexId img_v = flip ? ed.src : ed.dst;
-    if (!dcs_.D2(q.u, img_u) || !dcs_.D2(q.v, img_v)) continue;
     seed_edge_ = qe;
-    vmap_[q.u] = img_u;
-    vmap_[q.v] = img_v;
+    vmap_[q.u] = flip ? ed.dst : ed.src;
+    vmap_[q.v] = flip ? ed.src : ed.dst;
     mapped_vertices_ = Bit(q.u) | Bit(q.v);
-    used_data_.insert(img_u);
-    used_data_.insert(img_v);
     emap_[qe] = ed.id;
     ets_[qe] = ed.ts;
     ExtendVertices();
-    used_data_.clear();
     mapped_vertices_ = 0;
     if (timed_out_) return;
   }
@@ -98,49 +90,16 @@ bool PostFilterEngine::ExtendVertices() {
     return true;
   }
   // Extendable vertex with the fewest DCS candidates.
-  VertexId best_u = kInvalidVertex;
-  EdgeId best_via = kInvalidEdge;
-  const DcsIndex::NbrMap* best_map = nullptr;
-  size_t best_size = SIZE_MAX;
-  for (VertexId u = 0; u < query_.NumVertices(); ++u) {
-    if (HasBit(mapped_vertices_, u)) continue;
-    for (const EdgeId f : query_.IncidentEdges(u)) {
-      const VertexId u2 = query_.Edge(f).Other(u);
-      if (!HasBit(mapped_vertices_, u2)) continue;
-      const DcsIndex::NbrMap* cmap = dcs_.Candidates(f, u2, vmap_[u2]);
-      const size_t size = cmap == nullptr ? 0 : cmap->size();
-      if (size < best_size) {
-        best_size = size;
-        best_u = u;
-        best_via = f;
-        best_map = cmap;
-      }
-    }
-  }
-  TCSM_CHECK(best_u != kInvalidVertex);
-  if (best_map == nullptr || best_map->empty()) return false;
-  for (const auto& [w, cnt] : *best_map) {
+  const DcsIndex::Extension ext =
+      dcs_.NextExtension(mapped_vertices_, vmap_);
+  if (ext.candidates == nullptr || ext.candidates->empty()) return false;
+  for (const auto& [w, cnt] : *ext.candidates) {
     (void)cnt;
-    if (!dcs_.D2(best_u, w)) continue;
-    if (used_data_.count(w) > 0) continue;
-    bool ok = true;
-    for (const EdgeId f2 : query_.IncidentEdges(best_u)) {
-      if (f2 == best_via) continue;
-      const VertexId u2 = query_.Edge(f2).Other(best_u);
-      if (!HasBit(mapped_vertices_, u2)) continue;
-      const DcsIndex::NbrMap* m2 = dcs_.Candidates(f2, u2, vmap_[u2]);
-      if (m2 == nullptr || m2->count(w) == 0) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    vmap_[best_u] = w;
-    mapped_vertices_ |= Bit(best_u);
-    used_data_.insert(w);
+    if (!dcs_.Admits(ext, w, mapped_vertices_, vmap_)) continue;
+    vmap_[ext.u] = w;
+    mapped_vertices_ |= Bit(ext.u);
     ExtendVertices();
-    used_data_.erase(w);
-    mapped_vertices_ &= ~Bit(best_u);
+    mapped_vertices_ &= ~Bit(ext.u);
     if (timed_out_) return false;
   }
   return true;

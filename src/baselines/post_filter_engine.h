@@ -8,7 +8,7 @@
 #define TCSM_BASELINES_POST_FILTER_ENGINE_H_
 
 #include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/bitmask.h"
@@ -56,7 +56,7 @@ class PostFilterEngine : public ContinuousEngine {
   std::vector<EdgeId> emap_;
   std::vector<Timestamp> ets_;
   Mask64 mapped_vertices_ = 0;
-  std::unordered_set<VertexId> used_data_;
+  std::vector<std::pair<EdgeId, bool>> seeds_;  // scratch for FindMatches
   std::vector<EdgeId> unassigned_edges_;
 };
 

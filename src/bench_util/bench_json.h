@@ -5,7 +5,9 @@
 //
 // so perf trajectories can be grepped out of any driver's stdout
 // (`grep ^BENCH | cut -c7-` yields a JSON stream). Keys appear in
-// insertion order; values are numbers or strings.
+// insertion order after "bench" and "nproc" (the host's hardware thread
+// count, so every number carries the core count it was measured on);
+// values are numbers or strings.
 #ifndef TCSM_BENCH_UTIL_BENCH_JSON_H_
 #define TCSM_BENCH_UTIL_BENCH_JSON_H_
 
@@ -13,13 +15,15 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 namespace tcsm {
 
 class BenchJsonLine {
  public:
   explicit BenchJsonLine(const std::string& bench) {
-    body_ << "{\"bench\":\"" << bench << '"';
+    body_ << "{\"bench\":\"" << bench << "\",\"nproc\":"
+          << std::thread::hardware_concurrency();
   }
 
   BenchJsonLine& Field(const std::string& key, const std::string& value) {

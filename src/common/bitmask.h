@@ -1,6 +1,7 @@
 // 64-bit set helpers. Query graphs are limited to 64 vertices and 64 edges
 // (far beyond the paper's maximum query size of 15 edges), which lets the
-// temporal order, failing sets, and reachability be plain uint64_t masks.
+// temporal order, failing sets, reachability and the mapped part of a
+// partial embedding be plain uint64_t masks.
 #ifndef TCSM_COMMON_BITMASK_H_
 #define TCSM_COMMON_BITMASK_H_
 
@@ -44,6 +45,17 @@ class BitRange {
  private:
   Mask64 mask_;
 };
+
+/// True when a position in `mapped` holds `value` in `images` (a vertex or
+/// edge map indexed by query id): injectivity read off the partial mapping.
+/// Entries outside `mapped` are ignored, so they may be stale.
+template <typename Images, typename T>
+constexpr bool MappedTo(Mask64 mapped, const Images& images, const T& value) {
+  for (const uint32_t i : BitRange(mapped)) {
+    if (images[i] == value) return true;
+  }
+  return false;
+}
 
 }  // namespace tcsm
 

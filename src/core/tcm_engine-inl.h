@@ -131,15 +131,12 @@ void BasicTcmEngine<GraphT>::UpdateStructures(const TemporalEdge& ed,
     }
   }
 
-  triple_keys_.clear();
   triple_list_.clear();
   auto add_triple = [&](EdgeId qe, const TemporalEdge& de, bool flip) {
     if (!StaticFeasible(query_, g_, qe, de, flip)) return false;
-    if (triple_keys_.insert(DcsIndex::TripleKey(qe, de.id, flip)).second) {
-      // Capture the record: after a removal the update edge is only a
-      // tombstone in the graph and must not be re-read later.
-      triple_list_.push_back(Triple{qe, de, flip});
-    }
+    // Capture the record: after a removal the update edge is only a
+    // tombstone in the graph and must not be re-read later.
+    triple_list_.push_back(Triple{qe, de, flip});
     return true;
   };
 
@@ -193,7 +190,7 @@ void BasicTcmEngine<GraphT>::UpdateStructures(const TemporalEdge& ed,
         alive && (!config_.use_tc_filter ||
                   (filter_q_->CheckMatchable(t.qe, de, t.flip) &&
                    filter_r_->CheckMatchable(t.qe, de, t.flip)));
-    const bool present = dcs_.Contains(t.qe, de.id, t.flip);
+    const bool present = dcs_.Contains(t.qe, de, t.flip);
     if (matchable && !present) {
       dcs_.Insert(t.qe, de, t.flip);
     } else if (!matchable && present) {
@@ -219,20 +216,15 @@ void BasicTcmEngine<GraphT>::FindMatches(const TemporalEdge& ed,
   timed_out_ = false;
   mapped_vertices_ = 0;
   mapped_edges_ = 0;
-  used_data_.clear();
   free_groups_.clear();
   std::fill(vmap_.begin(), vmap_.end(), kInvalidVertex);
   std::fill(emap_.begin(), emap_.end(), kInvalidEdge);
 
-  std::vector<std::pair<EdgeId, bool>> seeds;
-  dcs_.EdgesOf(ed.id, &seeds);
-  for (const auto& [qe, flip] : seeds) {
+  dcs_.Seeds(ed, &seeds_);
+  for (const auto& [qe, flip] : seeds_) {
     const QueryEdge& q = query_.Edge(qe);
-    const VertexId img_u = flip ? ed.dst : ed.src;
-    const VertexId img_v = flip ? ed.src : ed.dst;
-    if (!dcs_.D2(q.u, img_u) || !dcs_.D2(q.v, img_v)) continue;
-    MapVertex(q.u, img_u);
-    MapVertex(q.v, img_v);
+    MapVertex(q.u, flip ? ed.dst : ed.src);
+    MapVertex(q.v, flip ? ed.src : ed.dst);
     MapEdge(qe, ed.id, ed.ts);
     Extend();
     UnmapEdge(qe);
@@ -388,29 +380,10 @@ auto BasicTcmEngine<GraphT>::ExtendEdge(EdgeId qe) -> SearchResult {
 
 template <typename GraphT>
 auto BasicTcmEngine<GraphT>::ExtendVertex() -> SearchResult {
-  // Pick the extendable vertex with the fewest DCS candidates (SymBi's
-  // adaptive matching order).
-  VertexId best_u = kInvalidVertex;
-  EdgeId best_via = kInvalidEdge;
-  const DcsIndex::NbrMap* best_map = nullptr;
-  size_t best_size = SIZE_MAX;
-  for (VertexId u = 0; u < query_.NumVertices(); ++u) {
-    if (HasBit(mapped_vertices_, u)) continue;
-    for (const EdgeId f : query_.IncidentEdges(u)) {
-      const VertexId u2 = query_.Edge(f).Other(u);
-      if (!HasBit(mapped_vertices_, u2)) continue;
-      const DcsIndex::NbrMap* cmap = dcs_.Candidates(f, u2, vmap_[u2]);
-      const size_t size = cmap == nullptr ? 0 : cmap->size();
-      if (size < best_size) {
-        best_size = size;
-        best_u = u;
-        best_via = f;
-        best_map = cmap;
-      }
-    }
-  }
-  TCSM_CHECK(best_u != kInvalidVertex && "query must be connected");
-  if (best_map == nullptr || best_map->empty()) {
+  // SymBi's adaptive matching order (DcsIndex::NextExtension).
+  const DcsIndex::Extension ext =
+      dcs_.NextExtension(mapped_vertices_, vmap_);
+  if (ext.candidates == nullptr || ext.candidates->empty()) {
     // Structural failure: candidate vertex sets are independent of mapped
     // timestamps, so this failure persists across sibling edge candidates.
     return SearchResult{false, 0};
@@ -418,25 +391,12 @@ auto BasicTcmEngine<GraphT>::ExtendVertex() -> SearchResult {
 
   bool found_any = false;
   Mask64 agg = 0;
-  for (const auto& [w, cnt] : *best_map) {
+  for (const auto& [w, cnt] : *ext.candidates) {
     (void)cnt;
-    if (!dcs_.D2(best_u, w)) continue;
-    if (used_data_.count(w) > 0) continue;
-    bool ok = true;
-    for (const EdgeId f2 : query_.IncidentEdges(best_u)) {
-      if (f2 == best_via) continue;
-      const VertexId u2 = query_.Edge(f2).Other(best_u);
-      if (!HasBit(mapped_vertices_, u2)) continue;
-      const DcsIndex::NbrMap* m2 = dcs_.Candidates(f2, u2, vmap_[u2]);
-      if (m2 == nullptr || m2->count(w) == 0) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    MapVertex(best_u, w);
+    if (!dcs_.Admits(ext, w, mapped_vertices_, vmap_)) continue;
+    MapVertex(ext.u, w);
     const SearchResult res = Extend();
-    UnmapVertex(best_u);
+    UnmapVertex(ext.u);
     if (timed_out_) return SearchResult{true, 0};
     if (res.found) {
       found_any = true;

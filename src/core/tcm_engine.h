@@ -29,7 +29,7 @@
 #include <array>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/bitmask.h"
@@ -134,10 +134,8 @@ class BasicTcmEngine : public ContinuousEngine {
   void MapVertex(VertexId u, VertexId v) {
     vmap_[u] = v;
     mapped_vertices_ |= Bit(u);
-    used_data_.insert(v);
   }
   void UnmapVertex(VertexId u) {
-    used_data_.erase(vmap_[u]);
     mapped_vertices_ &= ~Bit(u);
     vmap_[u] = kInvalidVertex;
   }
@@ -173,7 +171,8 @@ class BasicTcmEngine : public ContinuousEngine {
     TemporalEdge de;
     bool flip;
   };
-  std::unordered_set<uint64_t> triple_keys_;
+  /// May hold a triple twice; the second evaluation is a no-op, since
+  /// the first made the DCS agree with both filters.
   std::vector<Triple> triple_list_;
 
   // Backtracking state.
@@ -184,7 +183,7 @@ class BasicTcmEngine : public ContinuousEngine {
   std::vector<Timestamp> ets_;
   Mask64 mapped_vertices_ = 0;
   Mask64 mapped_edges_ = 0;
-  std::unordered_set<VertexId> used_data_;
+  std::vector<std::pair<EdgeId, bool>> seeds_;  // scratch for FindMatches
   std::vector<FreeGroup> free_groups_;
   /// Per-alternative timestamps during free-group expansion, so the gap
   /// post-filter judges each expanded embedding by its own timestamps.

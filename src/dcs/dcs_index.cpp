@@ -152,16 +152,15 @@ void DcsIndex::ProcessPending() {
 }
 
 void DcsIndex::Insert(EdgeId qe, const TemporalEdge& ed, bool flip) {
-  const uint64_t key = TripleKey(qe, ed.id, flip);
-  const bool added = membership_.insert(key).second;
-  TCSM_CHECK(added && "duplicate DCS edge insert");
-  ++stats_.num_edges;
-
   const Images im = ResolveImages(ed, flip);
   auto& plist = parallel_[qe][PackPair(im.img_u, im.img_v)];
   const ParallelEdge pe{ed.ts, ed.id, flip};
-  plist.insert(std::upper_bound(plist.begin(), plist.end(), pe, LessParallel),
-               pe);
+  const auto pos =
+      std::lower_bound(plist.begin(), plist.end(), pe, LessParallel);
+  TCSM_CHECK((pos == plist.end() || LessParallel(pe, *pos)) &&
+             "duplicate DCS edge insert");
+  plist.insert(pos, pe);
+  ++stats_.num_edges;
 
   const QueryEdge& q = query_->Edge(qe);
   const VertexId pu = dag_->ParentOf(qe);
@@ -186,21 +185,17 @@ void DcsIndex::Insert(EdgeId qe, const TemporalEdge& ed, bool flip) {
 }
 
 void DcsIndex::Remove(EdgeId qe, const TemporalEdge& ed, bool flip) {
-  const uint64_t key = TripleKey(qe, ed.id, flip);
-  const size_t erased = membership_.erase(key);
-  TCSM_CHECK(erased == 1 && "removing absent DCS edge");
-  --stats_.num_edges;
-
   const Images im = ResolveImages(ed, flip);
-  const uint64_t pkey = PackPair(im.img_u, im.img_v);
-  auto pit = parallel_[qe].find(pkey);
-  TCSM_CHECK(pit != parallel_[qe].end());
+  auto pit = parallel_[qe].find(PackPair(im.img_u, im.img_v));
+  TCSM_CHECK(pit != parallel_[qe].end() && "removing absent DCS edge");
   auto& plist = pit->second;
   const ParallelEdge pe{ed.ts, ed.id, flip};
   auto it = std::lower_bound(plist.begin(), plist.end(), pe, LessParallel);
-  TCSM_CHECK(it != plist.end() && it->edge == ed.id && it->flip == flip);
+  TCSM_CHECK(it != plist.end() && !LessParallel(pe, *it) &&
+             "removing absent DCS edge");
   plist.erase(it);
   if (plist.empty()) parallel_[qe].erase(pit);
+  --stats_.num_edges;
 
   const QueryEdge& q = query_->Edge(qe);
   const VertexId pu = dag_->ParentOf(qe);
@@ -254,6 +249,14 @@ void DcsIndex::MaybeEraseNode(VertexId u, VertexId v) {
   nodes_[u].erase(it);
 }
 
+bool DcsIndex::Contains(EdgeId qe, const TemporalEdge& ed, bool flip) const {
+  const Images im = ResolveImages(ed, flip);
+  const std::vector<ParallelEdge>* plist = Parallel(qe, im.img_u, im.img_v);
+  return plist != nullptr &&
+         std::binary_search(plist->begin(), plist->end(),
+                            ParallelEdge{ed.ts, ed.id, flip}, LessParallel);
+}
+
 const std::vector<ParallelEdge>* DcsIndex::Parallel(EdgeId qe, VertexId img_u,
                                                     VertexId img_v) const {
   auto it = parallel_[qe].find(PackPair(img_u, img_v));
@@ -282,26 +285,65 @@ const DcsIndex::NbrMap* DcsIndex::Candidates(EdgeId via_edge,
   return &node->up[pslot_[via_edge]];
 }
 
-void DcsIndex::EdgesOf(EdgeId data_edge,
-                       std::vector<std::pair<EdgeId, bool>>* out) const {
+void DcsIndex::Seeds(const TemporalEdge& ed,
+                     std::vector<std::pair<EdgeId, bool>>* out) const {
+  out->clear();
   for (EdgeId qe = 0; qe < query_->NumEdges(); ++qe) {
+    const QueryEdge& q = query_->Edge(qe);
     for (const bool flip : {false, true}) {
-      if (Contains(qe, data_edge, flip)) out->emplace_back(qe, flip);
+      const Images im = ResolveImages(ed, flip);
+      if (Contains(qe, ed, flip) && D2(q.u, im.img_u) && D2(q.v, im.img_v)) {
+        out->emplace_back(qe, flip);
+      }
     }
   }
 }
 
+auto DcsIndex::NextExtension(Mask64 mapped,
+                             const std::vector<VertexId>& vmap) const
+    -> Extension {
+  Extension best;
+  size_t best_size = SIZE_MAX;
+  for (VertexId u = 0; u < query_->NumVertices(); ++u) {
+    if (HasBit(mapped, u)) continue;
+    for (const EdgeId f : query_->IncidentEdges(u)) {
+      const VertexId u2 = query_->Edge(f).Other(u);
+      if (!HasBit(mapped, u2)) continue;
+      const NbrMap* cmap = Candidates(f, u2, vmap[u2]);
+      const size_t size = cmap == nullptr ? 0 : cmap->size();
+      if (size < best_size) {
+        best_size = size;
+        best = Extension{u, f, cmap};
+      }
+    }
+  }
+  TCSM_CHECK(best.u != kInvalidVertex && "query must be connected");
+  return best;
+}
+
+bool DcsIndex::Admits(const Extension& ext, VertexId w, Mask64 mapped,
+                      const std::vector<VertexId>& vmap) const {
+  if (!D2(ext.u, w) || MappedTo(mapped, vmap, w)) return false;
+  for (const EdgeId f : query_->IncidentEdges(ext.u)) {
+    if (f == ext.via) continue;
+    const VertexId u2 = query_->Edge(f).Other(ext.u);
+    if (!HasBit(mapped, u2)) continue;
+    const NbrMap* m = Candidates(f, u2, vmap[u2]);
+    if (m == nullptr || m->count(w) == 0) return false;
+  }
+  return true;
+}
+
 void DcsIndex::ValidateInvariantsForTest() const {
-  TCSM_CHECK(membership_.size() == stats_.num_edges);
   size_t parallel_total = 0;
   for (EdgeId qe = 0; qe < query_->NumEdges(); ++qe) {
     for (const auto& [key, plist] : parallel_[qe]) {
       TCSM_CHECK(!plist.empty());
       parallel_total += plist.size();
-      for (size_t i = 0; i < plist.size(); ++i) {
-        if (i > 0) TCSM_CHECK(!LessParallel(plist[i], plist[i - 1]));
-        TCSM_CHECK(membership_.count(
-                       TripleKey(qe, plist[i].edge, plist[i].flip)) == 1);
+      // Strictly increasing: sorted for ECM range queries, and no triple
+      // twice (membership is a search in this list).
+      for (size_t i = 1; i < plist.size(); ++i) {
+        TCSM_CHECK(LessParallel(plist[i - 1], plist[i]));
       }
     }
   }
@@ -351,7 +393,7 @@ void DcsIndex::ValidateInvariantsForTest() const {
 }
 
 size_t DcsIndex::EstimateMemoryBytes() const {
-  size_t bytes = HashSetBytes(membership_);
+  size_t bytes = 0;
   for (const auto& bucket : nodes_) {
     bytes += HashMapBytes(bucket);
     for (const auto& [v, node] : bucket) {

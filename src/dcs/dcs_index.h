@@ -17,15 +17,18 @@
 //
 // Parallel DCS edges between the same image pair are kept sorted by
 // timestamp so ECM(e) range queries during backtracking are binary
-// searches (Definition V.2).
+// searches (Definition V.2); they are also the only membership record.
+// The index owns SymBi's seed and extension steps, which TCM and the
+// SymBi post-filter baseline share.
 #ifndef TCSM_DCS_DCS_INDEX_H_
 #define TCSM_DCS_DCS_INDEX_H_
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/bitmask.h"
 #include "common/types.h"
 #include "dag/query_dag.h"
 #include "graph/temporal_edge.h"
@@ -51,17 +54,20 @@ class DcsIndex {
  public:
   using NbrMap = std::unordered_map<VertexId, uint32_t>;
 
+  /// The next query vertex to map (SymBi's adaptive matching order): the
+  /// unmapped vertex adjacent to the mapping with the fewest DCS
+  /// candidates, reached through the mapped-side query edge `via`.
+  /// `candidates` is nullptr or empty on a structural failure.
+  struct Extension {
+    VertexId u = kInvalidVertex;
+    EdgeId via = kInvalidEdge;
+    const NbrMap* candidates = nullptr;
+  };
+
   DcsIndex(const QueryGraph* query, const QueryDag* dag);
 
-  /// Unique key of a DCS edge triple.
-  static uint64_t TripleKey(EdgeId qe, EdgeId data_edge, bool flip) {
-    return (static_cast<uint64_t>(data_edge) << 7) |
-           (static_cast<uint64_t>(qe) << 1) | (flip ? 1u : 0u);
-  }
-
-  bool Contains(EdgeId qe, EdgeId data_edge, bool flip) const {
-    return membership_.count(TripleKey(qe, data_edge, flip)) > 0;
-  }
+  /// True iff (qe, ed, flip) is a DCS edge (a search in its parallel list).
+  bool Contains(EdgeId qe, const TemporalEdge& ed, bool flip) const;
 
   /// Inserts/removes one DCS edge and restores D1/D2 (DCSInsertion /
   /// DCSDeletion). `flip == false` maps qe.u -> ed.src.
@@ -82,10 +88,23 @@ class DcsIndex {
   const NbrMap* Candidates(EdgeId via_edge, VertexId mapped_qv,
                            VertexId mapped_img) const;
 
-  /// DCS edges of a data edge: appends all (qe, flip) with the triple
-  /// present (used to seed backtracking from an update edge).
-  void EdgesOf(EdgeId data_edge,
-               std::vector<std::pair<EdgeId, bool>>* out) const;
+  /// Seeds of backtracking from update edge `ed`: replaces `*out` with
+  /// every (qe, flip) whose triple is a DCS edge with both endpoint
+  /// images D2, in (qe, flip) order.
+  void Seeds(const TemporalEdge& ed,
+             std::vector<std::pair<EdgeId, bool>>* out) const;
+
+  /// The extension step for the partial mapping `vmap` over the query
+  /// vertices in `mapped` (the query must be connected and the mapping
+  /// must not be complete).
+  Extension NextExtension(Mask64 mapped,
+                          const std::vector<VertexId>& vmap) const;
+
+  /// True when candidate `w` of `ext` may be mapped to ext.u: D2 holds,
+  /// no mapped query vertex images w (injectivity), and w is a DCS
+  /// neighbor across every other query edge joining ext.u to the mapping.
+  bool Admits(const Extension& ext, VertexId w, Mask64 mapped,
+              const std::vector<VertexId>& vmap) const;
 
   const DcsStats& stats() const { return stats_; }
   size_t EstimateMemoryBytes() const;
@@ -139,7 +158,6 @@ class DcsIndex {
   std::vector<std::unordered_map<VertexId, Node>> nodes_;  // per u
   std::vector<std::unordered_map<uint64_t, std::vector<ParallelEdge>>>
       parallel_;  // per qe, keyed by PackPair(img_u, img_v)
-  std::unordered_set<uint64_t> membership_;
 
   std::vector<Check> pending_;
   DcsStats stats_;

@@ -122,7 +122,7 @@ bool BasicMaxMinIndex<GraphT>::GateChanged(VertexId u, const Entry& before,
 template <typename GraphT>
 void BasicMaxMinIndex<GraphT>::MarkDirty(VertexId u, VertexId v) {
   if (entries_[u].find(v) == entries_[u].end()) return;  // lazy: no readers
-  dirty_[dag_->TopoPos(u)][v] = 1;
+  dirty_[dag_->TopoPos(u)].insert(v);
 }
 
 template <typename GraphT>
@@ -136,9 +136,9 @@ void BasicMaxMinIndex<GraphT>::ProcessDirty(std::vector<UvPair>* touched) {
     const VertexId u = topo[pos];
     // Move out: recomputation never dirties the same position again
     // (propagation goes strictly to smaller positions).
-    std::unordered_map<VertexId, uint8_t> work;
+    std::unordered_set<VertexId> work;
     work.swap(bucket);
-    for (const auto& [v, unused] : work) {
+    for (const VertexId v : work) {
       auto it = entries_[u].find(v);
       TCSM_CHECK(it != entries_[u].end());
       Entry fresh = ComputeEntry(u, v);

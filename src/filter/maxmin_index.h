@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/types.h"
@@ -163,7 +164,7 @@ class BasicMaxMinIndex {
 
   std::vector<std::unordered_map<VertexId, Entry>> entries_;  // per u
   /// Dirty sets bucketed by topological position of u.
-  std::vector<std::unordered_map<VertexId, uint8_t>> dirty_;
+  std::vector<std::unordered_set<VertexId>> dirty_;
 };
 
 /// The canonical instantiation every existing call site uses; compiled

@@ -4,6 +4,7 @@
 #include "baselines/post_filter_engine.h"
 #include "baselines/timing_engine.h"
 #include "core/stream_driver.h"
+#include "core/tcm_engine.h"
 #include "testlib/running_example.h"
 #include "testlib/stream_checker.h"
 
@@ -120,6 +121,44 @@ TEST(Baselines, DensityInsensitiveBaselinesStillCorrect) {
     SingleQueryContext<TimingEngine> run(q, schema);
     testlib::CheckEngineAgainstOracle(ds, q, 100, &run);
   }
+}
+
+// A one-label path u0-u1-u2 over two vertices joined by three parallel
+// edges plus a third vertex: mapping u0 and u2 to the same data vertex
+// through two distinct parallel edges passes every edge-level check, so
+// only vertex injectivity rejects it. Typed per engine so a failure in one
+// does not stop the oracle check of the others.
+template <typename EngineT>
+class VertexInjectivity : public ::testing::Test {};
+using InjectivityEngines = ::testing::Types<TcmEngine, PostFilterEngine,
+                                            LocalEnumEngine, TimingEngine>;
+TYPED_TEST_SUITE(VertexInjectivity, InjectivityEngines);
+
+TYPED_TEST(VertexInjectivity, AcrossParallelEdges) {
+  QueryGraph q;
+  q.AddVertex(0);
+  q.AddVertex(0);
+  q.AddVertex(0);
+  q.AddEdge(0, 1);
+  q.AddEdge(1, 2);
+
+  TemporalDataset ds;
+  ds.vertex_labels = {0, 0, 0};
+  auto add = [&](VertexId s, VertexId d, Timestamp t) {
+    TemporalEdge e;
+    e.id = static_cast<EdgeId>(ds.edges.size());
+    e.src = s;
+    e.dst = d;
+    e.ts = t;
+    ds.edges.push_back(e);
+  };
+  add(0, 1, 1);
+  add(1, 0, 2);
+  add(0, 1, 3);
+  add(1, 2, 4);
+
+  SingleQueryContext<TypeParam> run(q, GraphSchema{false, ds.vertex_labels});
+  EXPECT_GT(testlib::CheckEngineAgainstOracle(ds, q, 100, &run), 0u);
 }
 
 TEST(Baselines, NamesAreStable) {

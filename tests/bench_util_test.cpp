@@ -3,6 +3,7 @@
 #include <sstream>
 #include <thread>
 
+#include "bench_util/bench_json.h"
 #include "bench_util/experiment.h"
 #include "bench_util/table_printer.h"
 #include "datasets/presets.h"
@@ -30,6 +31,14 @@ TEST(Formatting, Doubles) {
   EXPECT_EQ(FormatDouble(1.23456, 2), "1.23");
   EXPECT_EQ(FormatDouble(2.0, 0), "2");
   EXPECT_EQ(FormatMegabytes(3 * 1024 * 1024), "3.00");
+}
+
+TEST(BenchJsonLine, RecordsNprocAfterBenchName) {
+  std::ostringstream os;
+  BenchJsonLine("demo").Field("threads", uint64_t{4}).Print(os);
+  EXPECT_EQ(os.str(), "BENCH {\"bench\":\"demo\",\"nproc\":" +
+                          std::to_string(std::thread::hardware_concurrency()) +
+                          ",\"threads\":4}\n");
 }
 
 TEST(BenchArgs, Defaults) {

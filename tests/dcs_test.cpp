@@ -69,15 +69,16 @@ TEST(DcsIndex, InsertRemoveRoundTrip) {
   ed.src = testlib::kV1;
   ed.dst = testlib::kV2;
   ed.ts = 1;
-  EXPECT_FALSE(dcs.Contains(testlib::kE1, 0, false));
+  EXPECT_FALSE(dcs.Contains(testlib::kE1, ed, false));
   dcs.Insert(testlib::kE1, ed, false);
-  EXPECT_TRUE(dcs.Contains(testlib::kE1, 0, false));
+  EXPECT_TRUE(dcs.Contains(testlib::kE1, ed, false));
+  EXPECT_FALSE(dcs.Contains(testlib::kE1, ed, true));
   EXPECT_EQ(dcs.stats().num_edges, 1u);
   const auto* plist = dcs.Parallel(testlib::kE1, testlib::kV1, testlib::kV2);
   ASSERT_NE(plist, nullptr);
   EXPECT_EQ(plist->size(), 1u);
   dcs.Remove(testlib::kE1, ed, false);
-  EXPECT_FALSE(dcs.Contains(testlib::kE1, 0, false));
+  EXPECT_FALSE(dcs.Contains(testlib::kE1, ed, false));
   EXPECT_EQ(dcs.stats().num_edges, 0u);
   EXPECT_EQ(dcs.Parallel(testlib::kE1, testlib::kV1, testlib::kV2), nullptr);
 }
@@ -187,6 +188,7 @@ TEST_P(DcsProperty, IncrementalEqualsRebuild) {
     bool flip;
   };
   std::vector<Triple> present;
+  std::vector<Triple> removed;
   std::vector<TemporalEdge> edges;
 
   for (int step = 0; step < 120; ++step) {
@@ -197,6 +199,7 @@ TEST_P(DcsProperty, IncrementalEqualsRebuild) {
       present[k] = present.back();
       present.pop_back();
       inc.Remove(t.qe, edges[t.id], t.flip);
+      removed.push_back(t);
     } else {
       // New data edge with a random feasible (qe, flip).
       const VertexId a = static_cast<VertexId>(rng.NextBounded(nv));
@@ -223,6 +226,16 @@ TEST_P(DcsProperty, IncrementalEqualsRebuild) {
     }
     if (step % 10 != 9) continue;
     inc.ValidateInvariantsForTest();
+    // Membership is read off the parallel lists: every present triple is
+    // found, and no removed one (ids are never reused here).
+    for (const Triple& t : present) {
+      ASSERT_TRUE(inc.Contains(t.qe, edges[t.id], t.flip))
+          << "step=" << step << " edge=" << t.id;
+    }
+    for (const Triple& t : removed) {
+      ASSERT_FALSE(inc.Contains(t.qe, edges[t.id], t.flip))
+          << "step=" << step << " edge=" << t.id;
+    }
     // Rebuild from scratch and compare.
     DcsIndex fresh(&q, &dag);
     for (const Triple& t : present) fresh.Insert(t.qe, edges[t.id], t.flip);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/tcm_engine.h"
+#include "dag/query_dag.h"
+#include "dcs/dcs_index.h"
 #include "graph/temporal_graph.h"
 #include "query/query_graph.h"
 #include "testlib/running_example.h"
@@ -38,6 +40,22 @@ TEST(Guards, RemoveDeadEdgeRejected) {
   const EdgeId e = g.InsertEdge(0, 1, 1);
   g.RemoveEdge(e);
   EXPECT_DEATH(g.RemoveEdge(e), "");
+}
+
+TEST(Guards, DuplicateDcsInsertRejected) {
+  // Membership lives only in the sorted parallel lists, so a second insert
+  // of the same (qe, edge, flip) must be caught there.
+  const QueryGraph q = testlib::RunningExampleQuery();
+  const QueryDag dag = QueryDag::BuildBestDag(q);
+  DcsIndex dcs(&q, &dag);
+  TemporalEdge ed;
+  ed.id = 0;
+  ed.src = testlib::kV1;
+  ed.dst = testlib::kV2;
+  ed.ts = 1;
+  dcs.Insert(testlib::kE1, ed, false);
+  EXPECT_DEATH(dcs.Insert(testlib::kE1, ed, false),
+               "duplicate DCS edge insert");
 }
 
 TEST(Guards, ContextRequiresAscendingArrivalIds) {

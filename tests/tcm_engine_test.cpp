@@ -112,13 +112,17 @@ TEST(TcmEngine, DcsShrinksWithTcFilter) {
   EXPECT_LE(filtered.engine().dcs().stats().num_d2_nodes,
             unfiltered.engine().dcs().stats().num_d2_nodes);
   // Specifically, (eps2, sigma_8) is not TC-matchable before sigma_14.
-  EXPECT_FALSE(filtered.engine().dcs().Contains(testlib::kE2, 7, false));
-  EXPECT_TRUE(unfiltered.engine().dcs().Contains(testlib::kE2, 7, false));
+  EXPECT_FALSE(
+      filtered.engine().dcs().Contains(testlib::kE2, ds.edges[7], false));
+  EXPECT_TRUE(
+      unfiltered.engine().dcs().Contains(testlib::kE2, ds.edges[7], false));
   // After sigma_14 it enters the DCS (Example IV.4).
   filtered.OnEdgeArrival(ds.edges[13]);
-  EXPECT_TRUE(filtered.engine().dcs().Contains(testlib::kE2, 7, false));
+  EXPECT_TRUE(
+      filtered.engine().dcs().Contains(testlib::kE2, ds.edges[7], false));
   // (eps2, sigma_12) stays filtered.
-  EXPECT_FALSE(filtered.engine().dcs().Contains(testlib::kE2, 11, false));
+  EXPECT_FALSE(
+      filtered.engine().dcs().Contains(testlib::kE2, ds.edges[11], false));
 }
 
 TEST(TcmEngine, TimeLimitMarksRunIncomplete) {

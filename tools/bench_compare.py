@@ -65,6 +65,10 @@ METRIC_FIELDS = {
     "search_ms",
     "adj_entries_scanned",
     "adj_entries_matched",
+    # The host's core count: recorded next to every number, but a run on
+    # another machine still matches the same pinned configuration (and
+    # baselines written before the field existed keep matching).
+    "nproc",
 }
 
 
@@ -188,6 +192,11 @@ def self_test():
     partial = [r for r in jitter if r["bench"] != "parallel_scaling"]
     miss_reg, miss_cmp, missing = compare(
         baseline, partial, "events_per_sec", 0.15, out=sink)
+    # A current row carrying the host's nproc still matches its baseline
+    # row written without the field.
+    with_nproc = [dict(r, nproc=4) for r in jitter]
+    np_reg, np_cmp, np_missing = compare(
+        baseline, with_nproc, "events_per_sec", 0.15, out=sink)
     sink.close()
     failures = []
     if slow_cmp != len(baseline) or slow_reg != len(baseline):
@@ -204,6 +213,11 @@ def self_test():
         failures.append(
             f"dropping a baselined configuration must be reported as "
             f"exactly that missing identity (got {len(missing)})")
+    if np_cmp != len(baseline) or np_reg != 0 or np_missing:
+        failures.append(
+            f"rows carrying nproc must match baselines without it "
+            f"(compared {np_cmp} of {len(baseline)}, "
+            f"{len(np_missing)} missing)")
     roundtrip = parse_bench_lines(
         "noise\nBENCH " + json.dumps(baseline[0]) + "\n", "<self-test>")
     if roundtrip != [baseline[0]]:
