@@ -69,7 +69,6 @@ Measurement RunReplicated(const TemporalDataset& ds,
 
   Measurement out;
   const size_t n = ds.edges.size();
-  const size_t sample_every = std::max<size_t>(64, n * 2 / 32);
   StopWatch watch;
   size_t arr = 0;
   size_t exp = 0;
@@ -85,20 +84,13 @@ Measurement RunReplicated(const TemporalDataset& ds,
       ++arr;
     }
     ++out.events;
-    if (out.events % sample_every == 0) {
-      // The contexts coexist, so their footprints add.
-      size_t current = 0;
-      for (auto& run : runs) current += run->EstimateMemoryBytes();
-      out.peak_bytes = std::max(out.peak_bytes, current);
-    }
-  }
-  out.elapsed_ms = watch.ElapsedMs();
-  {
-    // Final observation, mirroring RunStream's post-loop sample.
+    // Observed after every event, as the stream driver does; the
+    // contexts coexist, so their footprints add.
     size_t current = 0;
     for (auto& run : runs) current += run->EstimateMemoryBytes();
     out.peak_bytes = std::max(out.peak_bytes, current);
   }
+  out.elapsed_ms = watch.ElapsedMs();
   for (auto& run : runs) {
     const EngineCounters c = run->AggregateCounters();
     out.occurred += c.occurred;

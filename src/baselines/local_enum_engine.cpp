@@ -161,7 +161,7 @@ void LocalEnumEngine::TryAssign(size_t step, EdgeId qe,
   if (!u_mapped) mapped_vertices_ &= ~Bit(q.u);
 }
 
-size_t LocalEnumEngine::EstimateMemoryBytes() const {
+size_t LocalEnumEngine::StateMemoryBytes() const {
   // Index-free: only the precomputed matching orders and scratch vectors.
   size_t bytes = VectorBytes(vmap_) + VectorBytes(emap_) + VectorBytes(ets_);
   for (const auto& order : order_from_) bytes += VectorBytes(order);

@@ -27,7 +27,7 @@ class LocalEnumEngine : public ContinuousEngine {
   std::string name() const override { return "LocalEnum-Post"; }
   void OnEdgeInserted(const TemporalEdge& ed) override;
   void OnEdgeExpiring(const TemporalEdge& ed) override;
-  size_t EstimateMemoryBytes() const override;
+  size_t StateMemoryBytes() const override;
 
  private:
   void FindMatches(const TemporalEdge& ed, MatchKind kind);

@@ -146,7 +146,7 @@ void PostFilterEngine::ReportIfTimeConstrained() {
   Report(embedding, kind_, 1);
 }
 
-size_t PostFilterEngine::EstimateMemoryBytes() const {
+size_t PostFilterEngine::StateMemoryBytes() const {
   // Per-query state only; the shared graph is accounted by the context.
   return dcs_.EstimateMemoryBytes();
 }

@@ -31,7 +31,7 @@ class PostFilterEngine : public ContinuousEngine {
   void OnEdgeInserted(const TemporalEdge& ed) override;
   void OnEdgeExpiring(const TemporalEdge& ed) override;
   void OnEdgeRemoved(const TemporalEdge& ed) override;
-  size_t EstimateMemoryBytes() const override;
+  size_t StateMemoryBytes() const override;
 
   const DcsIndex& dcs() const { return dcs_; }
 

@@ -327,22 +327,25 @@ void TimingEngine::OnEdgeExpiring(const TemporalEdge& ed) {
   for (auto& fl : feasible_live_) fl.erase(id);
 }
 
-size_t TimingEngine::EstimateMemoryBytes() const {
+size_t TimingEngine::StateMemoryBytes() const {
   // Per-query state only; the shared graph is accounted by the context.
   size_t bytes = 0;
   for (size_t level = 0; level < levels_.size(); ++level) {
     const Level& lv = levels_[level];
-    // Record payload + map node overhead.
-    const size_t rec_bytes = covered_[level].size() * sizeof(VertexId) +
-                             (level + 1) * sizeof(EdgeId) +
-                             2 * sizeof(std::vector<int>) + 48;
-    bytes += lv.records.size() * rec_bytes;
+    const size_t n = lv.records.size();
+    // Record nodes plus their vertex and edge images.
+    bytes += HashBytes<decltype(lv.records)>(n) +
+             n * (covered_[level].size() * sizeof(VertexId) +
+                  (level + 1) * sizeof(EdgeId));
     // Index entries: each record appears in by_edge (level+1 times) and in
     // join_index (once).
-    bytes += lv.records.size() * (level + 2) * sizeof(uint64_t);
-    bytes += HashMapBytes(lv.by_edge) + HashMapBytes(lv.join_index);
+    bytes += n * (level + 2) * sizeof(uint64_t) +
+             HashBytes<decltype(lv.by_edge)>(lv.by_edge.size()) +
+             HashBytes<decltype(lv.join_index)>(lv.join_index.size());
   }
-  for (const auto& fl : feasible_live_) bytes += HashSetBytes(fl);
+  for (const auto& fl : feasible_live_) {
+    bytes += HashBytes<std::unordered_set<EdgeId>>(fl.size());
+  }
   return bytes;
 }
 

@@ -39,7 +39,7 @@ class TimingEngine : public ContinuousEngine {
   std::string name() const override { return "Timing"; }
   void OnEdgeInserted(const TemporalEdge& ed) override;
   void OnEdgeExpiring(const TemporalEdge& ed) override;
-  size_t EstimateMemoryBytes() const override;
+  size_t StateMemoryBytes() const override;
   bool overflowed() const override { return overflowed_; }
 
   /// Total live records (all levels) — exposed for tests/benches.

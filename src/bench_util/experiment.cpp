@@ -1,11 +1,9 @@
 #include "bench_util/experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <thread>
 
 #include "baselines/local_enum_engine.h"
 #include "baselines/post_filter_engine.h"
@@ -104,51 +102,6 @@ QuerySetResult RunQuerySet(const TemporalDataset& dataset,
     out.per_query_matches.push_back(res.occurred + res.expired);
     out.per_query_peak_mem.push_back(res.peak_memory_bytes);
   }
-  return out;
-}
-
-QuerySetResult RunQuerySetParallel(const TemporalDataset& dataset,
-                                   const std::vector<QueryGraph>& queries,
-                                   EngineKind kind, Timestamp window,
-                                   double time_limit_ms, size_t threads) {
-  if (threads <= 1 || queries.size() <= 1) {
-    return RunQuerySet(dataset, queries, kind, window, time_limit_ms);
-  }
-  const GraphSchema schema = SchemaOf(dataset);
-  const size_t n = queries.size();
-  QuerySetResult out;
-  out.per_query_ms.assign(n, 0);
-  out.per_query_solved.assign(n, 0);
-  out.per_query_matches.assign(n, 0);
-  out.per_query_peak_mem.assign(n, 0);
-
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const size_t q = next.fetch_add(1);
-      if (q >= n) return;
-      SharedStreamContext ctx(schema);
-      auto engine = MakeEngine(kind, queries[q], ctx.graph());
-      ctx.Attach(engine.get());
-      CountingSink sink;
-      engine->set_sink(&sink);
-      StreamConfig config;
-      config.window = window;
-      config.time_limit_ms = time_limit_ms;
-      const StreamResult res = RunStream(dataset, config, &ctx);
-      out.per_query_solved[q] = res.completed ? 1 : 0;
-      out.per_query_ms[q] =
-          res.completed ? res.elapsed_ms
-                        : std::max(res.elapsed_ms, time_limit_ms);
-      out.per_query_matches[q] = res.occurred + res.expired;
-      out.per_query_peak_mem[q] = res.peak_memory_bytes;
-    }
-  };
-  std::vector<std::thread> pool;
-  const size_t workers = std::min(threads, n);
-  pool.reserve(workers);
-  for (size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
   return out;
 }
 

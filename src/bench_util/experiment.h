@@ -51,16 +51,6 @@ QuerySetResult RunQuerySet(const TemporalDataset& dataset,
                            EngineKind kind, Timestamp window,
                            double time_limit_ms);
 
-/// Like RunQuerySet but runs queries concurrently on `threads` workers
-/// (engines are independent per query — the paper's "parallelizing our
-/// approach" future work, applied at inter-query granularity). Per-query
-/// wall-clock times are noisier under contention; results are positionally
-/// identical to the sequential runner.
-QuerySetResult RunQuerySetParallel(const TemporalDataset& dataset,
-                                   const std::vector<QueryGraph>& queries,
-                                   EngineKind kind, Timestamp window,
-                                   double time_limit_ms, size_t threads);
-
 /// The paper's elapsed-time aggregation: average per-engine time over the
 /// queries that at least one engine solved, counting unsolved runs as the
 /// time limit. `results` holds one QuerySetResult per engine.

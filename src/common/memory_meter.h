@@ -1,39 +1,32 @@
-// Memory accounting helpers. The paper's Figure 10 compares peak process
-// memory of separate binaries; all engines run inside one process here, so
-// each engine instead reports an accounting-based estimate of its live
-// state, and tracks the peak of that estimate over the stream.
+// Memory accounting helpers (DESIGN.md §5). The paper's Figure 10 compares
+// peak process memory of separate binaries; all engines run inside one
+// process here, so each component instead prices its live state from the
+// element counts it already keeps — arithmetic over sizes, never a walk
+// over its contents — and the stream driver tracks the peak of that
+// estimate after every delivery.
 #ifndef TCSM_COMMON_MEMORY_METER_H_
 #define TCSM_COMMON_MEMORY_METER_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace tcsm {
 
-/// Approximate heap footprint of common containers (payload + per-node or
-/// per-bucket overhead). Estimates are intentionally simple and uniform so
-/// cross-engine comparisons are apples-to-apples.
+/// Heap buffer (by capacity) plus the vector object itself.
 template <typename T>
 size_t VectorBytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T) + sizeof(v);
 }
 
-template <typename K, typename V, typename H, typename E, typename A>
-size_t HashMapBytes(const std::unordered_map<K, V, H, E, A>& m) {
-  // Node-based: one heap node per element plus the bucket array.
-  constexpr size_t kNodeOverhead = 2 * sizeof(void*);
-  return m.size() * (sizeof(std::pair<const K, V>) + kNodeOverhead) +
-         m.bucket_count() * sizeof(void*) + sizeof(m);
-}
-
-template <typename K, typename H, typename E, typename A>
-size_t HashSetBytes(const std::unordered_set<K, H, E, A>& s) {
-  constexpr size_t kNodeOverhead = 2 * sizeof(void*);
-  return s.size() * (sizeof(K) + kNodeOverhead) +
-         s.bucket_count() * sizeof(void*) + sizeof(s);
+/// The count model of a node-based hash container of type `C` holding `n`
+/// elements: one heap node per element, i.e. the value plus a next
+/// pointer and the cached hash. Bucket arrays are not priced (their size
+/// follows the container's history, not its content), and neither is the
+/// container object, which its owner prices with its own sizeof.
+template <typename C>
+constexpr size_t HashBytes(size_t n) {
+  return n * (sizeof(typename C::value_type) + 2 * sizeof(void*));
 }
 
 /// Tracks the peak of a recomputed estimate, and *where* it happened:
@@ -60,11 +53,6 @@ class PeakMeter {
   size_t peak_ = 0;
   size_t peak_at_ = 0;
 };
-
-/// Reads the process-wide resident-set peak (VmHWM) in bytes from
-/// /proc/self/status. Only meaningful for single-experiment processes;
-/// exposed for completeness and used by the quickstart example.
-size_t ProcessPeakRssBytes();
 
 }  // namespace tcsm
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/memory_meter.h"
 
 // Deferred emission for absence predicates (DESIGN.md §12). The state
 // machine below is deliberately tiny and strictly sequential per engine, so
@@ -18,11 +19,22 @@ void ContinuousEngine::InitAbsence(const QueryGraph& query) {
   if (query.absences().empty()) return;
   absence_ = std::make_unique<AbsenceState>();
   absence_->directed = query.directed();
+  absence_->embedding_bytes = query.NumVertices() * sizeof(VertexId) +
+                              query.NumEdges() * sizeof(EdgeId);
   absence_->predicates.assign(query.absences().begin(),
                               query.absences().end());
   for (const AbsencePredicate& p : absence_->predicates) {
     absence_->max_delta = std::max(absence_->max_delta, p.delta);
   }
+}
+
+size_t ContinuousEngine::AbsenceMemoryBytes() const {
+  if (absence_ == nullptr) return 0;
+  const AbsenceState& st = *absence_;
+  return st.pending.size() * (sizeof(AbsencePending) + st.embedding_bytes) +
+         HashBytes<decltype(st.suppressed)>(st.suppressed.size()) +
+         st.suppressed.size() * st.embedding_bytes +
+         st.same_ts.size() * sizeof(TemporalEdge);
 }
 
 /// True iff `ed` violates some absence predicate for an embedding whose

@@ -121,10 +121,15 @@ class ContinuousEngine {
   /// default no-op.
   virtual void OnEdgeRemoved(const TemporalEdge& ed) { (void)ed; }
 
-  /// Accounting-based footprint of the engine's per-query state (indexes,
-  /// materialized records, scratch). The shared graph is accounted once by
-  /// the SharedStreamContext, never here.
-  virtual size_t EstimateMemoryBytes() const = 0;
+  /// Accounting-based footprint of the engine's per-query state: its own
+  /// indexes, materialized records and scratch (StateMemoryBytes) plus
+  /// the absence layer's deferred state, priced here once for every
+  /// engine. The shared graph is accounted once by the
+  /// SharedStreamContext, never here. Arithmetic over element counts
+  /// (DESIGN.md §5), so cheap enough to observe after every delivery.
+  size_t EstimateMemoryBytes() const {
+    return StateMemoryBytes() + AbsenceMemoryBytes();
+  }
 
   /// True when internal capacity limits were exceeded (Timing's
   /// materialization cap); results are then incomplete.
@@ -166,6 +171,9 @@ class ContinuousEngine {
 
   bool absence_active() const { return absence_ != nullptr; }
 
+  /// The engine's own share of EstimateMemoryBytes, absence state excluded.
+  virtual size_t StateMemoryBytes() const = 0;
+
   MatchSink* sink_ = nullptr;
   Deadline* deadline_ = nullptr;
   EngineCounters counters_;
@@ -187,6 +195,8 @@ class ContinuousEngine {
   };
   struct AbsenceState {
     bool directed = false;
+    /// Heap bytes of one embedding's two arrays (fixed by the query).
+    size_t embedding_bytes = 0;
     std::vector<AbsencePredicate> predicates;
     Timestamp max_delta = 0;
     /// Timestamp of the most recent arrival, plus the arrivals at that
@@ -208,6 +218,8 @@ class ContinuousEngine {
                      uint64_t multiplicity);
   bool AbsenceViolates(const Embedding& emb, Timestamp trigger_ts,
                        const TemporalEdge& ed) const;
+  /// Pending completions, suppressed embeddings and same_ts, by count.
+  size_t AbsenceMemoryBytes() const;
 
   std::unique_ptr<AbsenceState> absence_;
 };

@@ -10,12 +10,9 @@
 //   std::string name() const;       names the source in diagnostics
 //   Timestamp window() const;       the source's own window; 0 = none
 //   bool explicit_expiry() const;   true when it records its expirations
-//   size_t known_arrivals() const;  arrivals it will deliver, when known
-//                                   up front (a dataset); 0 = unknown
 #ifndef TCSM_CORE_STREAM_DRIVER_INL_H_
 #define TCSM_CORE_STREAM_DRIVER_INL_H_
 
-#include <algorithm>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -76,12 +73,6 @@ StreamResult DriveStream(Source& source, const StreamConfig& config,
   StatsReporter reporter(config.obs, config.stats_every, config.stats_json,
                          config.stats_out);
 
-  // Memory-sample cadence: when the run's length is known (a dataset),
-  // ~32 samples across its ~2*arrivals events, so sampling never
-  // dominates; a stream's length is not, so every 64 events.
-  const size_t known = source.known_arrivals();
-  const size_t sample_every =
-      known > 0 ? std::max<size_t>(1, known * 2 / 32) : 64;
   const size_t max_batch =
       config.max_batch == 0 ? kDefaultMaxBatch : config.max_batch;
 
@@ -113,7 +104,6 @@ StreamResult DriveStream(Source& source, const StreamConfig& config,
   // Scratch for coalesced deliveries (DESIGN.md §9): consecutive
   // same-timestamp events of one kind handed to the context as a batch.
   std::vector<TemporalEdge> batch;
-  bool high_water_sampled = false;
 
   Status s = pull();
   while (s.ok()) {
@@ -123,13 +113,6 @@ StreamResult DriveStream(Source& source, const StreamConfig& config,
       has_pending = false;
       stopped = true;
       truncated = true;
-    }
-    if (stopped && !high_water_sampled) {
-      // No more arrivals: the window is at its fullest right now, before
-      // the remaining expirations shrink it. Sample the high-water point
-      // explicitly rather than hoping the cadence lands on it.
-      peak.Observe(context->EstimateMemoryBytes(), result.events);
-      high_water_sampled = true;
     }
     const bool have_arrival =
         has_pending && pending.kind == StreamRecord::Kind::kArrival;
@@ -219,14 +202,14 @@ StreamResult DriveStream(Source& source, const StreamConfig& config,
       live.insert(live.end(), batch.begin(), batch.end());
       if (!s.ok()) break;
     }
-    const size_t before = result.events;
     result.events += batch.size();
     if (stages != nullptr) {
       stages->live_edges->Set(static_cast<int64_t>(live.size()));
     }
-    if (result.events / sample_every != before / sample_every) {
-      peak.Observe(context->EstimateMemoryBytes(), result.events);
-    }
+    // The estimate is arithmetic over element counts (DESIGN.md §5), so
+    // the peak is observed after every delivery and exact at delivery
+    // boundaries.
+    peak.Observe(context->EstimateMemoryBytes(), result.events);
     if (reporter.Due(result.events)) {
       reporter.Tick(result.events, live.size(), context->AggregateCounters());
     }
@@ -234,7 +217,6 @@ StreamResult DriveStream(Source& source, const StreamConfig& config,
   }
   context->set_deadline(nullptr);
   if (!s.ok()) return FailedRun(s);
-  peak.Observe(context->EstimateMemoryBytes(), result.events);
 
   result.elapsed_ms = watch.ElapsedMs();
   // This run's engine work: the counter deltas since its first event.

@@ -30,7 +30,6 @@ class DatasetSource {
   }
   Timestamp window() const { return 0; }
   bool explicit_expiry() const { return false; }
-  size_t known_arrivals() const { return arrivals_; }
 
  private:
   const TemporalDataset& dataset_;

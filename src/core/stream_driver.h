@@ -84,10 +84,12 @@ struct StreamResult {
   uint64_t occurred = 0;
   uint64_t expired = 0;
   size_t events = 0;
-  /// Peak of the context estimate: shared graph once + per-query state.
+  /// Peak of the context estimate (shared graph once + per-query state),
+  /// observed after every delivery; 0 when nothing was delivered.
   size_t peak_memory_bytes = 0;
-  /// Event count (result.events at observation time) when the memory
-  /// peak was sampled, so a spike is attributable to a stream position.
+  /// Events delivered (result.events) when that peak was reached — the
+  /// first delivery boundary at which the estimate took its maximum, so a
+  /// spike is attributable to a stream position.
   size_t peak_memory_event_index = 0;
   /// Scan-selectivity totals over this run (see EngineCounters): adjacency
   /// entries visited vs. entries passing all static checks. The gap is the

@@ -475,7 +475,7 @@ bool BasicTcmEngine<GraphT>::GapsOk(const std::vector<Timestamp>& ets) const {
 }
 
 template <typename GraphT>
-size_t BasicTcmEngine<GraphT>::EstimateMemoryBytes() const {
+size_t BasicTcmEngine<GraphT>::StateMemoryBytes() const {
   // Per-query state only; the shared graph is accounted by the context.
   size_t bytes = dcs_.EstimateMemoryBytes();
   if (filter_q_ != nullptr) bytes += filter_q_->EstimateMemoryBytes();

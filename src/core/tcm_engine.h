@@ -92,7 +92,7 @@ class BasicTcmEngine : public ContinuousEngine {
   void OnEdgeInserted(const TemporalEdge& ed) override;
   void OnEdgeExpiring(const TemporalEdge& ed) override;
   void OnEdgeRemoved(const TemporalEdge& ed) override;
-  size_t EstimateMemoryBytes() const override;
+  size_t StateMemoryBytes() const override;
 
   const DcsIndex& dcs() const { return dcs_; }
   const QueryDag& dag() const { return dag_q_; }

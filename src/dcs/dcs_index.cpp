@@ -336,7 +336,9 @@ bool DcsIndex::Admits(const Extension& ext, VertexId w, Mask64 mapped,
 
 void DcsIndex::ValidateInvariantsForTest() const {
   size_t parallel_total = 0;
+  size_t pairs = 0;
   for (EdgeId qe = 0; qe < query_->NumEdges(); ++qe) {
+    pairs += parallel_[qe].size();
     for (const auto& [key, plist] : parallel_[qe]) {
       TCSM_CHECK(!plist.empty());
       parallel_total += plist.size();
@@ -352,6 +354,8 @@ void DcsIndex::ValidateInvariantsForTest() const {
   size_t nodes = 0;
   size_t d1_nodes = 0;
   size_t d2_nodes = 0;
+  size_t up_entries = 0;
+  size_t down_entries = 0;
   for (VertexId u = 0; u < query_->NumVertices(); ++u) {
     const auto& parent_edges = dag_->ParentEdges(u);
     const auto& child_edges = dag_->ChildEdges(u);
@@ -361,8 +365,14 @@ void DcsIndex::ValidateInvariantsForTest() const {
       d2_nodes += node.d2;
       // GC invariant: a node must carry at least one incident DCS edge.
       bool any = false;
-      for (const NbrMap& m : node.up) any = any || !m.empty();
-      for (const NbrMap& m : node.down) any = any || !m.empty();
+      for (const NbrMap& m : node.up) {
+        any = any || !m.empty();
+        up_entries += m.size();
+      }
+      for (const NbrMap& m : node.down) {
+        any = any || !m.empty();
+        down_entries += m.size();
+      }
       TCSM_CHECK(any && "empty node not garbage-collected");
       // Support counters re-derived from neighbor maps + neighbor bits.
       for (size_t i = 0; i < parent_edges.size(); ++i) {
@@ -387,25 +397,33 @@ void DcsIndex::ValidateInvariantsForTest() const {
       TCSM_CHECK(node.d2 == ComputeD2(u, node));
     }
   }
+  // The count model of EstimateMemoryBytes: each image pair is exactly
+  // one `up` entry and one `down` entry.
+  TCSM_CHECK(up_entries == pairs && down_entries == pairs);
   TCSM_CHECK(nodes == stats_.num_nodes);
   TCSM_CHECK(d1_nodes == stats_.num_d1_nodes);
   TCSM_CHECK(d2_nodes == stats_.num_d2_nodes);
 }
 
 size_t DcsIndex::EstimateMemoryBytes() const {
+  // Three counts price the index: nodes per query vertex (each with one
+  // NbrMap and one support counter per incident DAG edge), image pairs
+  // (each one parallel_ key, one `up` entry at the child node and one
+  // `down` entry at the parent node; ValidateInvariantsForTest checks
+  // that bijection), and parallel DCS edges.
   size_t bytes = 0;
-  for (const auto& bucket : nodes_) {
-    bytes += HashMapBytes(bucket);
-    for (const auto& [v, node] : bucket) {
-      for (const auto& m : node.up) bytes += HashMapBytes(m);
-      for (const auto& m : node.down) bytes += HashMapBytes(m);
-      bytes += VectorBytes(node.n1) + VectorBytes(node.n2);
-    }
+  for (VertexId u = 0; u < nodes_.size(); ++u) {
+    const size_t slots =
+        dag_->ParentEdges(u).size() + dag_->ChildEdges(u).size();
+    bytes += HashBytes<std::unordered_map<VertexId, Node>>(nodes_[u].size()) +
+             nodes_[u].size() * slots * (sizeof(NbrMap) + sizeof(uint32_t));
   }
-  for (const auto& per_edge : parallel_) {
-    bytes += HashMapBytes(per_edge);
-    for (const auto& [k, plist] : per_edge) bytes += VectorBytes(plist);
-  }
+  size_t pairs = 0;
+  for (const auto& per_edge : parallel_) pairs += per_edge.size();
+  using ParallelMap =
+      std::unordered_map<uint64_t, std::vector<ParallelEdge>>;
+  bytes += HashBytes<ParallelMap>(pairs) + 2 * HashBytes<NbrMap>(pairs) +
+           stats_.num_edges * sizeof(ParallelEdge);
   return bytes;
 }
 

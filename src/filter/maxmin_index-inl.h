@@ -248,12 +248,15 @@ size_t BasicMaxMinIndex<GraphT>::NumEntries() const {
 
 template <typename GraphT>
 size_t BasicMaxMinIndex<GraphT>::EstimateMemoryBytes() const {
+  // Every entry of u holds one slot per tracked edge of u (ComputeEntry
+  // sizes them exactly), so the entry count prices the whole bucket.
   size_t bytes = 0;
-  for (const auto& bucket : entries_) {
-    bytes += HashMapBytes(bucket);
-    for (const auto& [v, entry] : bucket) {
-      bytes += VectorBytes(entry.later) + VectorBytes(entry.earlier);
-    }
+  for (VertexId u = 0; u < entries_.size(); ++u) {
+    const size_t n = entries_[u].size();
+    const size_t slots =
+        dag_->TrackedLater(u).size() + dag_->TrackedEarlier(u).size();
+    bytes += HashBytes<std::unordered_map<VertexId, Entry>>(n) +
+             n * slots * sizeof(Timestamp);
   }
   return bytes;
 }

@@ -11,7 +11,9 @@ VertexId TemporalGraph::AddVertex(Label label) {
 }
 
 void TemporalGraph::EnsureVertices(size_t n) {
-  while (vertex_labels_.size() < n) AddVertex(0);
+  if (n <= vertex_labels_.size()) return;
+  vertex_labels_.resize(n, 0);
+  adj_.resize(n);
 }
 
 void TemporalGraph::SetVertexLabel(VertexId v, Label label) {
@@ -36,7 +38,9 @@ uint32_t TemporalGraph::LinkNode(VertexId v, const AdjEntry& entry) {
   const uint32_t n = AllocNode(entry);
   VertexAdj& va = adj_[v];
   const uint64_t sig = PackPair(entry.elabel, vertex_labels_[entry.nbr]);
-  Bucket& bucket = va.buckets[sig];
+  const auto [it, created] = va.buckets.try_emplace(sig);
+  num_buckets_ += created;
+  Bucket& bucket = it->second;
   nodes_[n].prev = bucket.tail;
   nodes_[n].next = kNilNode;
   if (bucket.tail == kNilNode) {
@@ -142,8 +146,8 @@ EdgeId TemporalGraph::InsertEdgeAs(EdgeId id, VertexId src, VertexId dst,
   // loaders drop them on ingest and the store rejects them outright.
   TCSM_CHECK(src != dst && "self loops are not supported");
   // Ids are 32-bit dense arrival indices and are never recycled, so one
-  // graph instance supports 2^32 - 1 arrivals per ClearEdges(); abort
-  // loudly at the limit instead of silently wrapping (see the header).
+  // graph instance supports 2^32 - 1 arrivals; abort loudly at the limit
+  // instead of silently wrapping (see the header).
   TCSM_CHECK(id != kInvalidEdge && "edge-id space exhausted");
   TCSM_CHECK(id >= next_id_ && "caller-assigned ids must be ascending");
   DrainPendingFrees();
@@ -197,31 +201,11 @@ void TemporalGraph::RemoveEdge(EdgeId id) {
 }
 
 size_t TemporalGraph::EstimateMemoryBytes() const {
-  size_t bytes = VectorBytes(vertex_labels_) + VectorBytes(adj_) +
-                 VectorBytes(nodes_) + VectorBytes(slots_) +
-                 VectorBytes(free_slots_) + VectorBytes(pending_free_);
-  bytes += ring_.size() * sizeof(uint32_t) + sizeof(ring_);
-  for (const auto& va : adj_) bytes += HashMapBytes(va.buckets);
-  return bytes;
-}
-
-void TemporalGraph::ClearEdges() {
-  nodes_.clear();
-  free_node_head_ = kNilNode;
-  slots_.clear();
-  free_slots_.clear();
-  pending_free_.clear();
-  ring_.clear();
-  base_id_ = 0;
-  next_id_ = 0;
-  num_alive_ = 0;
-  for (auto& va : adj_) {
-    va.buckets.clear();
-    va.degree = 0;
-    va.sig_any.Clear();
-    va.sig_out.Clear();
-    va.sig_in.Clear();
-  }
+  return VectorBytes(vertex_labels_) + VectorBytes(adj_) +
+         VectorBytes(nodes_) + VectorBytes(slots_) +
+         VectorBytes(free_slots_) + VectorBytes(pending_free_) +
+         ring_.size() * sizeof(uint32_t) + sizeof(ring_) +
+         HashBytes<decltype(VertexAdj::buckets)>(num_buckets_);
 }
 
 }  // namespace tcsm

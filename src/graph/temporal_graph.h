@@ -68,13 +68,12 @@ class TemporalGraph {
   void SetVertexLabel(VertexId v, Label label);
 
   /// Inserts a live edge (arrival event) and returns its id — the dense
-  /// arrival index since the last ClearEdges(). Timestamps must be
-  /// non-decreasing across insertions (streaming order). Reuses a free
-  /// slot when one exists; ids are never reused. EdgeId is 32-bit, so a
-  /// graph instance supports 2^32 - 1 arrivals per ClearEdges() and
-  /// CHECK-fails past that — the binding bound now that slot memory no
-  /// longer grows with the stream (widening the id type is the next step
-  /// when a deployment needs longer unbroken streams).
+  /// arrival index. Timestamps must be non-decreasing across insertions
+  /// (streaming order). Reuses a free slot when one exists; ids are never
+  /// reused. EdgeId is 32-bit, so a graph instance supports 2^32 - 1
+  /// arrivals and CHECK-fails past that — the binding bound now that slot
+  /// memory no longer grows with the stream (widening the id type is the
+  /// next step when a deployment needs longer unbroken streams).
   EdgeId InsertEdge(VertexId src, VertexId dst, Timestamp ts, Label label = 0);
 
   /// InsertEdge with a caller-assigned id. `id` must be >= the next id
@@ -96,8 +95,8 @@ class TemporalGraph {
   void RemoveEdge(EdgeId id);
 
   size_t NumVertices() const { return vertex_labels_.size(); }
-  /// Edges inserted since construction / the last ClearEdges() (== the
-  /// next id to be assigned). Unlike slots, this grows with the stream.
+  /// Edges inserted since construction (== the next id to be
+  /// assigned). Unlike slots, this grows with the stream.
   size_t NumEdgesEver() const { return next_id_; }
   size_t NumAliveEdges() const { return num_alive_; }
 
@@ -236,13 +235,11 @@ class TemporalGraph {
   /// a sharded view routes by the record's endpoints instead of the id.
   bool AliveEdge(const TemporalEdge& e) const { return Alive(e.id); }
 
-  /// Approximate heap footprint of the live state (slot + node pools,
-  /// id ring, buckets, labels). O(window) under FIFO expiry.
+  /// Approximate heap footprint of the live state: the slot and node
+  /// pools, id ring and labels by capacity, the buckets by the count of
+  /// buckets ever created (DESIGN.md §5). O(1); O(window) bytes under
+  /// FIFO expiry.
   size_t EstimateMemoryBytes() const;
-
-  /// Removes all edges but keeps vertices (used between experiment runs).
-  /// Edge ids restart at 0.
-  void ClearEdges();
 
  private:
   static constexpr uint32_t kNilNode = UINT32_MAX;
@@ -267,7 +264,8 @@ class TemporalGraph {
 
   struct VertexAdj {
     /// Keyed by PackPair(elabel, nbr_label). Buckets persist once created
-    /// (bounded by the signatures seen at this vertex).
+    /// (bounded by the signatures seen at this vertex), so num_buckets_
+    /// counts them all.
     std::unordered_map<uint64_t, Bucket> buckets;
     size_t degree = 0;
     /// Bloom signatures over the PackPair keys of the *non-empty* buckets
@@ -314,6 +312,7 @@ class TemporalGraph {
   size_t num_alive_ = 0;
   std::vector<Label> vertex_labels_;
   std::vector<VertexAdj> adj_;
+  size_t num_buckets_ = 0;  // over all vertices; buckets are never erased
 
   // Node pool with an intrusive singly-linked free-list (through `next`).
   std::vector<AdjNode> nodes_;

@@ -29,7 +29,6 @@ class ReaderSource {
   bool explicit_expiry() const {
     return reader_->header().explicit_expiry;
   }
-  size_t known_arrivals() const { return 0; }
 
  private:
   StreamReader* const reader_;

@@ -26,9 +26,8 @@ class StatsReporter {
     return obs_ != nullptr && every_ > 0 && out_ != nullptr;
   }
 
-  /// True when the event total just crossed a tick boundary — same
-  /// cadence arithmetic as the drivers' memory sampling, so a batch that
-  /// jumps several boundaries still yields exactly one tick.
+  /// True when the event total just crossed a tick boundary; a batch
+  /// that jumps several boundaries still yields exactly one tick.
   bool Due(size_t events_total) const {
     return enabled() && events_total / every_ != last_events_ / every_;
   }

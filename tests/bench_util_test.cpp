@@ -138,34 +138,6 @@ TEST(AverageElapsedMs, ExcludesUniversallyUnsolved) {
   EXPECT_DOUBLE_EQ(AverageElapsedMs(results, 1, 100), (20 + 50) / 2.0);
 }
 
-TEST(RunQuerySet, SequentialAndParallelAgree) {
-  SyntheticSpec spec;
-  spec.num_vertices = 40;
-  spec.num_edges = 600;
-  spec.num_vertex_labels = 2;
-  spec.avg_parallel_edges = 2.0;
-  spec.seed = 31;
-  const TemporalDataset ds = GenerateSynthetic(spec);
-  QueryGenOptions opt;
-  opt.num_edges = 3;
-  opt.density = 0.5;
-  opt.window = 150;
-  const auto queries = GenerateQuerySet(ds, opt, 4, 3);
-  ASSERT_FALSE(queries.empty());
-
-  const QuerySetResult seq =
-      RunQuerySet(ds, queries, EngineKind::kTcm, 150, 0);
-  const QuerySetResult par = RunQuerySetParallel(
-      ds, queries, EngineKind::kTcm, 150, 0,
-      std::max(2u, std::thread::hardware_concurrency()));
-  ASSERT_EQ(seq.per_query_matches.size(), par.per_query_matches.size());
-  for (size_t i = 0; i < seq.per_query_matches.size(); ++i) {
-    EXPECT_EQ(seq.per_query_matches[i], par.per_query_matches[i]) << i;
-    EXPECT_EQ(seq.per_query_solved[i], par.per_query_solved[i]) << i;
-  }
-  EXPECT_EQ(seq.NumSolved(), queries.size());
-}
-
 TEST(RunQuerySet, ReportsPeakMemory) {
   SyntheticSpec spec;
   spec.num_vertices = 30;

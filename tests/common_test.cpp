@@ -156,10 +156,6 @@ TEST(MemoryMeter, PeakTracksMaximum) {
   EXPECT_EQ(m.peak_bytes(), 0u);
 }
 
-TEST(MemoryMeter, ProcessPeakRssPositive) {
-  EXPECT_GT(ProcessPeakRssBytes(), 0u);
-}
-
 TEST(Types, PackPairRoundTrips) {
   const uint64_t k = PackPair(123456, 654321);
   EXPECT_EQ(PairFirst(k), 123456u);

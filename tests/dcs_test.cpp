@@ -240,6 +240,10 @@ TEST_P(DcsProperty, IncrementalEqualsRebuild) {
     DcsIndex fresh(&q, &dag);
     for (const Triple& t : present) fresh.Insert(t.qe, edges[t.id], t.flip);
     EXPECT_EQ(inc.stats().num_edges, fresh.stats().num_edges);
+    // The footprint prices content, not history: a DCS that grew and
+    // shrank reports what a rebuild of its surviving edges reports.
+    EXPECT_EQ(inc.EstimateMemoryBytes(), fresh.EstimateMemoryBytes())
+        << "step=" << step;
     for (VertexId u = 0; u < q.NumVertices(); ++u) {
       for (VertexId v = 0; v < nv; ++v) {
         ASSERT_EQ(inc.D1(u, v), fresh.D1(u, v))

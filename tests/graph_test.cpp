@@ -286,18 +286,6 @@ TEST(TemporalGraph, BloomMasksCoverEveryLiveEntryUnderChurn) {
   }
 }
 
-TEST(TemporalGraph, ClearEdgesKeepsVerticesAndRestartsIds) {
-  TemporalGraph g = testlib::RunningExampleGraph();
-  EXPECT_EQ(g.NumAliveEdges(), 14u);
-  g.ClearEdges();
-  EXPECT_EQ(g.NumAliveEdges(), 0u);
-  EXPECT_EQ(g.NumEdgesEver(), 0u);
-  EXPECT_EQ(g.NumSlots(), 0u);
-  EXPECT_EQ(g.NumVertices(), 7u);
-  EXPECT_EQ(g.Degree(testlib::kV4), 0u);
-  EXPECT_EQ(g.InsertEdge(testlib::kV1, testlib::kV2, 1), 0u);
-}
-
 TEST(TemporalGraph, MemoryEstimateGrowsWithEdges) {
   TemporalGraph g;
   g.AddVertex(0);

@@ -170,6 +170,34 @@ TEST(PredicateFixture, AbsenceResolutionPaths) {
             2u);
 }
 
+// The absence layer's deferred state is part of the engine footprint.
+// Query a -> b with n(b, a, 1, delta=10), window 100:
+//
+//   edge 0: v0 -> v1  label 0  ts 0    M1 pending (T=0, D=10)
+//   edge 1: v2 -> v3  label 2  ts 20   flush D<20: emit +M1
+//
+// Edge 1 matches no query edge and no predicate label, so between the two
+// arrivals only the pending completion leaves the engine's state.
+TEST(PredicateFixture, PendingCompletionCountsInFootprint) {
+  TemporalDataset ds;
+  ds.directed = true;
+  ds.vertex_labels = {0, 0, 0, 0};
+  ds.edges.push_back(Packet(0, 1, 0, 0));
+  ds.edges.push_back(Packet(2, 3, 2, 20));
+  ds.Normalize();
+
+  SingleQueryContext<TcmEngine> run(ReplyQuery(10),
+                                    GraphSchema{true, ds.vertex_labels});
+  CountingSink sink;
+  run.engine().set_sink(&sink);
+  run.OnEdgeArrival(ds.edges[0]);
+  const size_t pending = run.engine().EstimateMemoryBytes();
+  EXPECT_EQ(sink.occurred(), 0u) << "completion not deferred";
+  run.OnEdgeArrival(ds.edges[1]);
+  EXPECT_EQ(sink.occurred(), 1u) << "completion not resolved";
+  EXPECT_GT(pending, run.engine().EstimateMemoryBytes());
+}
+
 // Gap-bound fixture: directed path a -> b -> c with g(e0, e1, 3, 5) over
 // one e0 candidate (ts 10) and seven parallel e1 candidates at ts 11..17.
 // Exactly the gaps 3, 4, 5 (ts 13, 14, 15) qualify. With pruning the ECM

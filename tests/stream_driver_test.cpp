@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,7 +36,7 @@ class RecordingEngine : public ContinuousEngine {
   void OnEdgeExpiring(const TemporalEdge& ed) override {
     events.push_back(Event{false, ed.id});
   }
-  size_t EstimateMemoryBytes() const override { return 128; }
+  size_t StateMemoryBytes() const override { return 128; }
 
   std::vector<Event> events;
 };
@@ -305,17 +306,15 @@ class LiveWeightedEngine : public ContinuousEngine {
   std::string name() const override { return "live-weighted"; }
   void OnEdgeInserted(const TemporalEdge&) override { ++live_; }
   void OnEdgeExpiring(const TemporalEdge&) override { --live_; }
-  size_t EstimateMemoryBytes() const override { return live_ << 20; }
+  size_t StateMemoryBytes() const override { return live_ << 20; }
 
  private:
   size_t live_ = 0;
 };
 
 TEST_P(StreamDriverSources, PeakMemoryCatchesHighWaterBetweenSamples) {
-  // 20 arrivals, then a pure-expiry tail: the peak (20 live edges) sits
-  // between the adaptive sample points, and every sample the old cadence
-  // took after the tail began would see a shrinking window. The driver
-  // must sample the high-water point explicitly.
+  // 20 arrivals, then a pure-expiry tail: the peak (20 live edges) is the
+  // last arrival's delivery, and every later one sees a shrinking window.
   SharedStreamContext ctx(TwoVertexSchema());
   LiveWeightedEngine engine;
   ctx.Attach(&engine);
@@ -334,9 +333,90 @@ TEST_P(StreamDriverSources, PeakMemoryCatchesHighWaterBetweenSamples) {
   const StreamResult res = Drive(ds, config, &ctx);
   ASSERT_TRUE(res.completed);
   EXPECT_GE(res.peak_memory_bytes, size_t{20} << 20);
-  // Whatever the source's sample cadence, the high-water sample pins the
-  // peak to the last arrival.
   EXPECT_EQ(res.peak_memory_event_index, 20u);
+}
+
+/// Estimate that spikes at exactly one event of the stream and otherwise
+/// follows the live-edge count.
+class SpikeEngine : public ContinuousEngine {
+ public:
+  explicit SpikeEngine(size_t spike_at) : spike_at_(spike_at) {}
+  std::string name() const override { return "spike"; }
+  void OnEdgeInserted(const TemporalEdge&) override {
+    ++live_;
+    ++events_;
+  }
+  void OnEdgeExpiring(const TemporalEdge&) override {
+    --live_;
+    ++events_;
+  }
+  size_t StateMemoryBytes() const override {
+    return events_ == spike_at_ ? size_t{1} << 30 : live_ << 10;
+  }
+
+ private:
+  size_t spike_at_;
+  size_t live_ = 0;
+  size_t events_ = 0;
+};
+
+/// Records the context estimate after every delivery, with the event
+/// count at that point: the brute-force reference for the driver's peak.
+class FootprintRecordingContext : public SharedStreamContext {
+ public:
+  using SharedStreamContext::SharedStreamContext;
+  void OnEdgeArrivalBatch(const TemporalEdge* edges, size_t count) override {
+    SharedStreamContext::OnEdgeArrivalBatch(edges, count);
+    Record(count);
+  }
+  void OnEdgeExpiryBatch(const TemporalEdge* edges, size_t count) override {
+    SharedStreamContext::OnEdgeExpiryBatch(edges, count);
+    Record(count);
+  }
+  /// (events delivered so far, estimate) after each delivery.
+  std::vector<std::pair<size_t, size_t>> after;
+
+ private:
+  void Record(size_t count) {
+    events_ += count;
+    after.emplace_back(events_, EstimateMemoryBytes());
+  }
+  size_t events_ = 0;
+};
+
+TEST_P(StreamDriverSources, PeakMemoryIsExactAtEveryDelivery) {
+  // 100 arrivals through a window of 10: 200 one-event deliveries that
+  // interleave expirations and arrivals. The estimate peaks once, at
+  // event 101 (an expiration mid-stream): neither the last arrival nor
+  // the end of the stream, and off any fixed sampling cadence's points
+  // (every 6 or every 64 events miss it). The driver's peak and its event
+  // index must equal the brute-force maximum over deliveries.
+  FootprintRecordingContext ctx(TwoVertexSchema());
+  SpikeEngine engine(101);
+  ctx.Attach(&engine);
+  TemporalDataset ds;
+  ds.vertex_labels = {0, 0};
+  for (size_t i = 0; i < 100; ++i) {
+    TemporalEdge e;
+    e.id = static_cast<EdgeId>(i);
+    e.src = 0;
+    e.dst = 1;
+    e.ts = static_cast<Timestamp>(i + 1);
+    ds.edges.push_back(e);
+  }
+  StreamConfig config;
+  config.window = 10;
+  const StreamResult res = Drive(ds, config, &ctx);
+  ASSERT_TRUE(res.completed);
+  ASSERT_EQ(res.events, 200u);
+  ASSERT_EQ(ctx.after.size(), 200u);
+  std::pair<size_t, size_t> brute{0, 0};  // (event index, bytes)
+  for (const auto& [events, bytes] : ctx.after) {
+    if (bytes > brute.second) brute = {events, bytes};
+  }
+  EXPECT_EQ(brute.first, 101u);
+  EXPECT_EQ(res.peak_memory_bytes, brute.second);
+  EXPECT_EQ(res.peak_memory_event_index, brute.first);
 }
 
 /// Context that records the size of every batch the driver hands it.
